@@ -309,19 +309,6 @@ void BM_SimplexWideLp(benchmark::State& state) {
 }
 BENCHMARK(BM_SimplexWideLp)->Arg(256)->Arg(1024);
 
-/// Chunk-claiming overhead of parallel_for via an ordered reduce over a
-/// trivial body — what a fine-grained loop pays the substrate per chunk.
-void BM_ParallelReduceSum(benchmark::State& state) {
-  par::ThreadPool pool(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    const long total = par::parallel_reduce(
-        pool, 0, 4096, 0L, [](long i, long& acc) { acc += i; },
-        [](long& into, long& chunk) { into += chunk; }, 64);
-    benchmark::DoNotOptimize(total);
-  }
-}
-BENCHMARK(BM_ParallelReduceSum)->Arg(1)->Arg(2)->Arg(4);
-
 /// Raw submit/drain cost of the pool's queues and wakeups.
 void BM_PoolSubmitDrain(benchmark::State& state) {
   par::ThreadPool pool(static_cast<int>(state.range(0)));
@@ -344,11 +331,11 @@ void BM_BnbCycleCoverThreads(benchmark::State& state) {
     m.add_constraint({{x[i], 1.0}, {x[(i + 1) % n], 1.0}},
                      milp::Sense::kGe, 1.0);
   }
-  milp::BnbOptions opt;
-  opt.threads = static_cast<int>(state.range(0));
+  par::set_jobs(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(milp::solve(m, opt));
+    benchmark::DoNotOptimize(milp::solve(m, milp::BnbOptions{}));
   }
+  par::set_jobs(0);
 }
 BENCHMARK(BM_BnbCycleCoverThreads)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 

@@ -6,16 +6,20 @@
 // check: the T1/TN/speedup columns quantify the win, and the run aborts if
 // any metric differs between the two (the substrate's determinism contract).
 //
-// The per-stage resource profile (one Steps 2-4 + evaluation run per size
-// on a fixed serpentine ring, through n=1024 by default) adds the memory
-// dimension: wall time and sampled peak RSS per pipeline stage, plus a
-// log-log least-squares fit of the measured O(n^k) per stage. Each run goes
-// through the production sweep path — make_sweep_cache builds the shared
-// shortcut plan / arc table / ring substrate once, and the "cache" column
-// reports that build (inclusive of the "sc" shortcut step nested in it) —
-// so the "eval" column measures exactly what a #wl sweep setting pays. Sizes <= 64 run a second, unprofiled synthesis and
-// the quality metrics must match exactly — the determinism gate extended
-// over the profiling layer itself.
+// The per-stage resource profile (Steps 2-4 + evaluation on a fixed
+// serpentine ring, through n=1024 by default) adds the memory dimension:
+// wall time and sampled peak RSS per pipeline stage, plus a log-log
+// least-squares fit of the measured O(n^k) per stage. Each run goes through
+// the production sweep path — make_sweep_cache builds the shared shortcut
+// plan / arc table / ring substrate once, and the "cache" column reports
+// that build (inclusive of the "sc" shortcut step nested in it) — so the
+// "eval" column measures exactly what a #wl sweep setting pays. Every size
+// runs twice at jobs=1 and twice at jobs=N, interleaved, and each side keeps
+// its per-stage minimum; the run fails if a stage taking >= 50 ms at jobs=1
+// is more than 1.5x slower at jobs=N (more cores must never cost time).
+// Sizes <= 64 run a further, unprofiled synthesis and the quality metrics
+// must match exactly — the determinism gate extended over the profiling
+// layer itself.
 //
 // Options: --ring N (CI smoke: one exact MILP solve at N), --ring-budgeted N
 // (CI smoke: one budgeted-LNS build at N, certified gap gated), --events FILE
@@ -28,6 +32,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -432,25 +437,73 @@ ProfileRun run_profile(int n, bool profiled) {
   return out;
 }
 
-/// Per-stage resource profile through n=1024 (or --max-n): one synthesis per
-/// size, wall time + sampled peak RSS per pipeline stage, then the log-log
-/// fitted O(n^k) per stage. Sizes <= 64 also run unprofiled and must
-/// reproduce the same design exactly — profiling may not perturb results.
-bool profile_table(int max_n) {
+/// Folds a repeat run into `best`, keeping the faster time per stage and in
+/// total (memory stays from the first run: first-touch attribution is only
+/// honest on a cold run).
+void keep_faster(ProfileRun& best, const ProfileRun& run) {
+  best.total_seconds = std::min(best.total_seconds, run.total_seconds);
+  for (auto& [stage, cost] : best.stages) {
+    cost.seconds = std::min(cost.seconds, run.stages.at(stage).seconds);
+  }
+}
+
+/// The jobs-ratio gate: a stage (or the total) that takes at least
+/// kGateFloorSeconds at jobs=1 must not take more than kGateMaxRatio times
+/// as long at jobs=N.
+constexpr double kGateFloorSeconds = 0.05;
+constexpr double kGateMaxRatio = 1.5;
+
+/// Per-stage resource profile through n=1024 (or --max-n): per size, two
+/// interleaved jobs=1 / jobs=N run pairs (per-stage minimum per side), wall
+/// time + sampled peak RSS per pipeline stage, the jobs=1 vs jobs=N ratio
+/// per stage under the jobs-ratio gate, then the log-log fitted O(n^k) per
+/// stage. Sizes <= 64 also run unprofiled and must reproduce the same
+/// design exactly — profiling may not perturb results.
+bool profile_table(int max_n, int jobs_n) {
   std::printf("=== Per-stage resource profile (Steps 2-4 + evaluation on a "
-              "fixed serpentine ring, PDN on) ===\n\n");
+              "fixed serpentine ring, PDN on; times at jobs=%d) ===\n\n",
+              jobs_n);
   report::Table t({"nodes", "signals", "sc (s)", "cache (s)", "map (s)",
                    "open (s)", "pdn (s)", "eval (s)", "total (s)",
                    "peakRSS (MiB)"});
   report::Table m({"nodes", "sc (MiB)", "cache (MiB)", "map (MiB)",
                    "open (MiB)", "pdn (MiB)", "eval (MiB)"});
+  const std::string tn_header = "T" + std::to_string(jobs_n) + " (s)";
+  report::Table j({"nodes", "stage", "T1 (s)", tn_header, "ratio", "gate"});
   std::map<std::string, std::vector<std::pair<double, double>>> time_pts,
       mem_pts;
   std::vector<std::pair<double, double>> total_time_pts, total_mem_pts;
   bool identical = true;
+  bool gate_ok = true;
+  const auto add_ratio_row = [&](int n, const std::string& stage, double t1,
+                                 double tn) {
+    const double ratio = t1 > 0.0 ? tn / t1 : 0.0;
+    const bool gated = t1 >= kGateFloorSeconds;
+    const bool pass = !gated || ratio <= kGateMaxRatio;
+    if (!pass) {
+      std::fprintf(stderr,
+                   "jobs-ratio violation at %d nodes: stage %s takes %.3f s "
+                   "at jobs=1 and %.3f s at jobs=%d (%.2fx > %.2fx)\n",
+                   n, stage.c_str(), t1, tn, jobs_n, ratio, kGateMaxRatio);
+      gate_ok = false;
+    }
+    j.add_row({std::to_string(n), stage, report::num(t1, 3),
+               report::num(tn, 3), report::num(ratio, 2) + "x",
+               !gated ? "-" : pass ? "ok" : "FAIL"});
+  };
   for (const int n : {16, 32, 64, 96, 128, 192, 256, 384, 512, 768, 1024}) {
     if (n > max_n) continue;
-    const ProfileRun run = run_profile(n, /*profiled=*/true);
+    // Interleaved jobs=1 / jobs=N pairs; each side keeps its per-stage
+    // minimum, so neither a cold first run nor one preempted run can fake a
+    // speedup or a loss.
+    par::set_jobs(1);
+    ProfileRun one = run_profile(n, /*profiled=*/true);
+    par::set_jobs(jobs_n);
+    ProfileRun run = run_profile(n, /*profiled=*/true);
+    par::set_jobs(1);
+    keep_faster(one, run_profile(n, /*profiled=*/true));
+    par::set_jobs(jobs_n);
+    keep_faster(run, run_profile(n, /*profiled=*/true));
     if (n <= 64) {
       const ProfileRun ref = run_profile(n, /*profiled=*/false);
       if (run.il_star_worst_db != ref.il_star_worst_db ||
@@ -464,31 +517,41 @@ bool profile_table(int max_n) {
         identical = false;
       }
     }
+    par::set_jobs(0);
     std::vector<std::string> trow = {std::to_string(n),
                                      std::to_string(run.signals)};
     std::vector<std::string> mrow = {std::to_string(n)};
     for (const char* stage : kProfileStages) {
       const StageCost& c = run.stages.at(stage);
+      const StageCost& c1 = one.stages.at(stage);
       trow.push_back(report::num(c.seconds, 3));
-      mrow.push_back(c.sampled ? report::num(c.peak_rss_bytes / kMiB, 1) : "-");
+      mrow.push_back(c1.sampled ? report::num(c1.peak_rss_bytes / kMiB, 1)
+                                : "-");
+      add_ratio_row(n, stage, c1.seconds, c.seconds);
       // Skip noise-floor points: sub-10ms stages are timer jitter and
       // sub-MiB RSS growth is allocator reuse, not asymptotic demand.
       if (c.seconds >= 0.01) time_pts[stage].emplace_back(n, c.seconds);
-      if (c.sampled && c.rss_growth_bytes >= kMiB)
-        mem_pts[stage].emplace_back(n, c.rss_growth_bytes);
+      if (c1.sampled && c1.rss_growth_bytes >= kMiB)
+        mem_pts[stage].emplace_back(n, c1.rss_growth_bytes);
     }
+    add_ratio_row(n, "total", one.total_seconds, run.total_seconds);
     trow.push_back(report::num(run.total_seconds, 3));
-    trow.push_back(report::num(run.peak_rss_bytes / kMiB, 1));
+    trow.push_back(report::num(one.peak_rss_bytes / kMiB, 1));
     t.add_row(trow);
     m.add_row(mrow);
     if (run.total_seconds >= 0.01)
       total_time_pts.emplace_back(n, run.total_seconds);
-    const double growth = run.peak_rss_bytes - run.base_rss_bytes;
+    const double growth = one.peak_rss_bytes - one.base_rss_bytes;
     if (growth >= kMiB) total_mem_pts.emplace_back(n, growth);
   }
   std::printf("%s\n", t.to_string().c_str());
-  std::printf("per-stage sampled peak RSS (\"-\" = stage shorter than the "
-              "1ms sample period):\n%s\n", m.to_string().c_str());
+  std::printf("per-stage sampled peak RSS, first (cold) run (\"-\" = stage "
+              "shorter than the 1ms sample period):\n%s\n",
+              m.to_string().c_str());
+  std::printf("jobs=1 vs jobs=%d per stage (min of 2 interleaved runs per "
+              "side; gated when T1 >= %.0f ms, bound %.1fx):\n%s\n",
+              jobs_n, kGateFloorSeconds * 1000.0, kGateMaxRatio,
+              j.to_string().c_str());
   std::printf("fitted O(n^k), log-log least squares (stages above the "
               "noise floor only):\n");
   for (const char* stage : kProfileStages) {
@@ -501,14 +564,14 @@ bool profile_table(int max_n) {
               fmt_exponent(fit_exponent(total_mem_pts)).c_str());
   std::printf("(RSS attribution is first-touch: a stage that reuses memory\n"
               " a predecessor faulted in shows no growth of its own)\n\n");
-  return identical;
+  std::printf("per-stage jobs-ratio gate (jobs 1/%d): %s\n\n", jobs_n,
+              gate_ok ? "ok" : "VIOLATION");
+  return identical && gate_ok;
 }
 
-/// Exact-equality determinism gate over the Step-3 speculative candidate
-/// evaluation: the full mapping + opening phase at 1, 2, and 8 pool jobs
-/// must produce byte-identical routes, waveguide signal lists, openings,
-/// and opening statistics (the speculation only reorders *evaluation*, the
-/// consume order is serial). Sizes straddle the speculation size gate.
+/// Exact-equality determinism gate over Step 3: the full mapping + opening
+/// phase at 1, 2, and 8 pool jobs must produce byte-identical routes,
+/// waveguide signal lists, openings, and opening statistics.
 bool mapping_determinism_gate() {
   bool identical = true;
   for (const int n : {48, 96}) {
@@ -518,7 +581,7 @@ bool mapping_determinism_gate() {
         netlist::Traffic::all_to_all(fp.nodes().size());
     const mapping::ArcTable arcs(ring.geometry.tour, traffic);
     mapping::MappingOptions mo;
-    mo.max_wavelengths = n / 4;  // tight cap: relocation batches engage
+    mo.max_wavelengths = n / 4;  // tight cap: relocation engages
     mo.use_shortcuts = false;
     const shortcut::ShortcutPlan plan;
 
@@ -554,7 +617,7 @@ bool mapping_determinism_gate() {
       if (!same) {
         std::fprintf(stderr,
                      "mapping determinism violation at %d nodes: jobs=1 and "
-                     "jobs=%d disagree on the speculative opening search\n",
+                     "jobs=%d disagree on the mapping/opening phase\n",
                      n, jobs);
         identical = false;
       }
@@ -615,7 +678,7 @@ int main(int argc, char** argv) {
   bool ok = ring_scaling_table(jobs_n, max_ring);
   ok = ring_budgeted_table(budget_ring) && ok;
   ok = mapping_determinism_gate() && ok;
-  ok = profile_table(max_n) && ok;
+  ok = profile_table(max_n, jobs_n) && ok;
   if (!ok) return EXIT_FAILURE;
   std::printf("=== Scaling: full flow up to 64 nodes (jobs=1 vs jobs=%d) ===\n\n",
               jobs_n);

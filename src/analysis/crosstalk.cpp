@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "par/pool.hpp"
 #include "phys/units.hpp"
 
 namespace xring::analysis {
@@ -14,10 +13,9 @@ constexpr double kNegligibleMw = 1e-15;
 
 /// Records noise deposits as provenance rows. Callers stamp the
 /// aggressor/source/node fields before each walk. The rows are *the* result:
-/// compute_noise replays them, in emission order, into both the per-victim
+/// compute_noise folds them, in emission order, into both the per-victim
 /// totals and the attribution ledger, so the two views are fed from the same
-/// numbers (the sum invariant the explainability tests check) and the
-/// emitters themselves can run on any thread.
+/// numbers (the sum invariant the explainability tests check).
 struct NoiseSink {
   std::vector<XtalkContribution>& rows;
   SignalId aggressor = -1;
@@ -280,36 +278,15 @@ std::vector<double> compute_noise(const AnalysisContext& ctx,
                                   std::vector<XtalkContribution>* attribution) {
   const RouterDesign& d = ctx.design();
 
-  // Work items: one per PDN crossing tap, then one per aggressor signal —
-  // the same order the serial code walked them. Each item only *records*
-  // its deposits; the chunks are combined in ascending chunk order and the
-  // replay below folds the rows into the totals strictly in item order,
-  // reproducing the serial accumulation (and its floating-point rounding)
-  // exactly, no matter how many threads emitted the rows. The chunk
-  // partition depends only on (items, grain), never on the thread count.
-  const long taps =
-      d.has_pdn ? static_cast<long>(d.pdn.taps.size()) : 0;
-  const long items = taps + static_cast<long>(d.mapping.routes.size());
-
-  using Rows = std::vector<XtalkContribution>;
-  par::ThreadPool& pool = par::global_pool();
-  const long grain = std::max(1L, items / (8L * pool.jobs()));
-  Rows rows = par::parallel_reduce(
-      pool, 0, items, Rows{},
-      [&](long k, Rows& acc) {
-        if (k < taps) {
-          emit_pdn_tap(ctx, laser_mw, d.pdn.taps[static_cast<std::size_t>(k)],
-                       acc);
-        } else {
-          emit_signal(ctx, losses, laser_mw,
-                      static_cast<std::size_t>(k - taps), acc);
-        }
-      },
-      [](Rows& out, Rows& chunk) {
-        out.insert(out.end(), std::make_move_iterator(chunk.begin()),
-                   std::make_move_iterator(chunk.end()));
-      },
-      grain);
+  // One pass: every PDN crossing tap, then every aggressor signal, each
+  // recording its deposits; the fold below sums them in emission order.
+  std::vector<XtalkContribution> rows;
+  if (d.has_pdn) {
+    for (const auto& tap : d.pdn.taps) emit_pdn_tap(ctx, laser_mw, tap, rows);
+  }
+  for (std::size_t i = 0; i < d.mapping.routes.size(); ++i) {
+    emit_signal(ctx, losses, laser_mw, i, rows);
+  }
 
   std::vector<double> noise(d.traffic.size(), 0.0);
   if (attribution != nullptr) {

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "obs/obs.hpp"
-#include "par/pool.hpp"
 #include "phys/units.hpp"
 
 namespace xring::analysis {
@@ -29,26 +28,14 @@ RouterMetrics evaluate(const RouterDesign& design, const EvalShared& shared) {
   // hold them to the invariant total_db()/star_db() == il_db/il_star_db.
   std::vector<LossBreakdown>& losses = m.loss_ledger;
   losses.resize(num_signals);
-  // Per-signal loss walks are independent (the context is immutable and
-  // each iteration writes only its own ledger/report slots), so they fan
-  // out over the global pool. Every slot holds exactly the value the serial
-  // loop would have written — no cross-signal accumulation happens here.
-  {
-    par::ThreadPool& pool = par::global_pool();
-    const long grain = std::max(1L, static_cast<long>(num_signals) / (8L * pool.jobs()));
-    par::parallel_for(
-        pool, 0, num_signals,
-        [&](long i) {
-          const SignalId id = static_cast<SignalId>(i);
-          losses[id] = signal_loss(ctx, id);
-          SignalReport& r = m.signals[id];
-          r.il_db = losses[id].total_db();
-          r.il_star_db = losses[id].star_db();
-          r.path_mm = losses[id].path_mm;
-          r.crossings = losses[id].crossings;
-          r.through_mrrs = losses[id].through_mrrs;
-        },
-        grain);
+  for (SignalId id = 0; id < num_signals; ++id) {
+    losses[id] = signal_loss(ctx, id);
+    SignalReport& r = m.signals[id];
+    r.il_db = losses[id].total_db();
+    r.il_star_db = losses[id].star_db();
+    r.path_mm = losses[id].path_mm;
+    r.crossings = losses[id].crossings;
+    r.through_mrrs = losses[id].through_mrrs;
   }
 
   // --- Per-wavelength laser power ----------------------------------------

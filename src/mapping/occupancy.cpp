@@ -106,22 +106,6 @@ OccupancyIndex::OccupancyIndex(const ArcTable& arcs, Mapping& mapping)
   }
 }
 
-OccupancyIndex::OccupancyIndex(const OccupancyIndex& other, Mapping& mapping)
-    : arcs_(other.arcs_),
-      mapping_(&mapping),
-      slots_(other.slots_),
-      track_passing_(false),
-      stats_(other.stats_),
-      cursors_(other.cursors_),
-      epoch_(other.epoch_),
-      removal_log_(other.removal_log_),
-      stride_(other.stride_),
-      gap_(other.gap_),
-      gap_built_(other.gap_built_) {
-  assert(!other.in_transaction_ &&
-         "snapshot must be taken between transactions");
-}
-
 void OccupancyIndex::GapTree::reset(int count, int stride) {
   stride_ = stride;
   size_ = count;
@@ -355,12 +339,10 @@ void OccupancyIndex::add_to_slots(int waveguide, int wavelength, SignalId id,
     gap_[dir == Direction::kCw ? 0 : 1].set(
         waveguide * stride_ + wavelength, max_free_run(slot), slot.buckets);
   }
-  if (track_passing_) {
-    const int n = arcs_->nodes();
-    std::vector<int>& pass = passing_[waveguide];
-    for (int h = 1; h < a.len; ++h) {
-      pass[(a.start + h) % n] += sign;
-    }
+  const int n = arcs_->nodes();
+  std::vector<int>& pass = passing_[waveguide];
+  for (int h = 1; h < a.len; ++h) {
+    pass[(a.start + h) % n] += sign;
   }
 }
 
@@ -669,7 +651,6 @@ void OccupancyIndex::relocate(SignalId id, int to_waveguide,
 
 int OccupancyIndex::add_waveguide(Direction dir) {
   assert(!in_transaction_ && "add_waveguide inside a transaction");
-  assert(track_passing_ && "snapshots must not add waveguides");
   const int w = mapping_->add_waveguide(dir);
   slots_.emplace_back();
   passing_.emplace_back(arcs_->nodes(), 0);
@@ -712,12 +693,6 @@ void OccupancyIndex::rollback() {
   }
   in_transaction_ = false;
   journal_.clear();
-}
-
-void OccupancyIndex::book_stats(const SearchStats& delta) {
-  stats_.fits_probes += delta.fits_probes;
-  stats_.fits_summary_hits += delta.fits_summary_hits;
-  stats_.reloc_attempts += delta.reloc_attempts;
 }
 
 }  // namespace xring::mapping

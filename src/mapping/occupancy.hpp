@@ -138,13 +138,6 @@ class OccupancyIndex {
   /// Builds the index over the mapping's current ring placements.
   OccupancyIndex(const ArcTable& arcs, Mapping& mapping);
 
-  /// Speculation snapshot: a deep copy of `other` rebound to `mapping`,
-  /// which must be a copy of other's mapping (the opening phase snapshots
-  /// both together to evaluate candidates in parallel). Snapshots skip the
-  /// passing-count mirror — they only probe and relocate, never score
-  /// candidates — and must not add waveguides.
-  OccupancyIndex(const OccupancyIndex& other, Mapping& mapping);
-
   /// Indexed equivalent of mapping::fits(tour, traffic, m, w, wl, id).
   /// Summary fast path first, word scan only when the summary is
   /// inconclusive; always returns exactly what `fits_scan` would.
@@ -209,8 +202,8 @@ class OccupancyIndex {
   /// touch the obs registry) and flushed by the phase drivers into the
   /// solver-internal `mapping.fits_probes` / `mapping.fits_summary_hits` /
   /// `mapping.reloc_attempts` counters. Probe counts are NOT part of the
-  /// bit-identical contract: cursors and speculation change how often the
-  /// same predicates are evaluated, never their answers.
+  /// bit-identical contract across code versions: cursors change how often
+  /// the same predicates are evaluated, never their answers.
   struct SearchStats {
     long long fits_probes = 0;       ///< fits() evaluations
     long long fits_summary_hits = 0; ///< probes answered without a word read
@@ -218,11 +211,6 @@ class OccupancyIndex {
   };
 
   const SearchStats& search_stats() const { return stats_; }
-
-  /// Books a consumed speculative attempt's probe counts (the opening
-  /// phase's serial consume loop charges exactly the attempts a serial run
-  /// would have evaluated).
-  void book_stats(const SearchStats& delta);
 
   const ArcTable& arcs() const { return *arcs_; }
 
@@ -327,9 +315,7 @@ class OccupancyIndex {
   /// slots_[w][wl] (grown lazily; an absent slot is all-zero).
   std::vector<std::vector<SlotBits>> slots_;
   /// passing_[w][pos]: # signals on w whose arc interior covers position pos.
-  /// Empty (not maintained) on speculation snapshots.
   std::vector<std::vector<int>> passing_;
-  bool track_passing_ = true;
   bool in_transaction_ = false;
   std::vector<Relocation> journal_;
 

@@ -238,9 +238,7 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
   // indistinguishable from solving inline — the search stays deterministic
   // at every thread count, and wall-clock shrinks because node k+1..k+T are
   // usually already solved when the loop reaches them.
-  const int threads = options.threads > 0
-                          ? std::min(options.threads, 512)
-                          : par::effective_jobs();
+  const int threads = par::effective_jobs();
   const bool speculative = threads > 1;
 
   std::mutex spec_mu;

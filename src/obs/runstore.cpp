@@ -63,9 +63,10 @@ MetricClass classify_metric(const std::string& name) {
       name == "milp.lns_repairs" || name == "milp.certified_gap" ||
       name.compare(0, 14, "lp.iterations.") == 0 ||
       name.compare(0, 17, "lp.ftran_density.") == 0 ||
-      // Step-3 search-path instrumentation: cursors and speculation change
+      // Step-3 search-path instrumentation: cursors and summaries decide
       // how often fits() is evaluated (never its answers), so probe counts
-      // float while every other mapping.* key stays exactly gated.
+      // move with search-strategy changes while every other mapping.* key
+      // stays exactly gated.
       name == "mapping.fits_probes" || name == "mapping.fits_summary_hits" ||
       name == "mapping.reloc_attempts" ||
       name == "mapping.candidates_memoized") {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -32,10 +31,10 @@ namespace xring::par {
 /// Observability contexts propagate across the pool boundary: submit()
 /// captures the submitting thread's installed obs::Context (obs/context.hpp)
 /// and installs it in the executing thread for exactly the task's duration.
-/// parallel_for / parallel_reduce / TaskGroup all funnel through submit(),
-/// so two runs scoped in different contexts can share one pool and still
-/// record into fully disjoint registries — including when one run's blocked
-/// thread helps execute the other run's tasks. The submitter's context must
+/// parallel_for and TaskGroup both funnel through submit(), so two runs
+/// scoped in different contexts can share one pool and still record into
+/// fully disjoint registries — including when one run's blocked thread
+/// helps execute the other run's tasks. The submitter's context must
 /// outlive its tasks; every construct here waits for its tasks, so a
 /// context scoped around the parallel section (or the whole synthesis call)
 /// always satisfies that.
@@ -157,36 +156,6 @@ void parallel_for(ThreadPool& pool, long begin, long end, Body&& body,
     for (long i = lo; i < hi; ++i) body(i);
   };
   detail::run_for(pool, st);
-}
-
-/// Ordered parallel reduction: `body(i, acc)` folds element i into a
-/// per-chunk accumulator seeded with `init`; chunk results are combined in
-/// chunk order with `combine(into, chunk_result)`. The chunk partition
-/// depends only on the range and `grain` — never on the thread count — so
-/// the result is identical for any pool size (it differs from a serial
-/// left fold only in where the chunk seams fall).
-template <class T, class Body, class Combine>
-T parallel_reduce(ThreadPool& pool, long begin, long end, T init, Body&& body,
-                  Combine&& combine, long grain = 1) {
-  if (end <= begin) return init;
-  if (grain < 1) grain = 1;
-  const long n = end - begin;
-  const long chunks = (n + grain - 1) / grain;
-  std::vector<T> partial(static_cast<std::size_t>(chunks), init);
-  parallel_for(
-      pool, 0, chunks,
-      [&](long c) {
-        T& acc = partial[static_cast<std::size_t>(c)];
-        const long lo = begin + c * grain;
-        const long hi = std::min(end, lo + grain);
-        for (long i = lo; i < hi; ++i) body(i, acc);
-      },
-      1);
-  T out = std::move(partial[0]);
-  for (long c = 1; c < chunks; ++c) {
-    combine(out, partial[static_cast<std::size_t>(c)]);
-  }
-  return out;
 }
 
 /// A set of fire-and-forget tasks that can be awaited together. wait() helps

@@ -1,8 +1,7 @@
 // Differential test of the Step-3 incremental-search fast paths
 // (mapping/occupancy.hpp): the summary-level `fits`, the cursor-resuming
-// `find_first_fit`, the counting-sort opening-candidate order, the
-// memoized-candidate skip, and the speculative parallel candidate
-// evaluation.
+// `find_first_fit`, the counting-sort opening-candidate order, and the
+// memoized-candidate skip.
 //
 // Three levels are compared: the production fast path, the PR-4 word scan
 // kept verbatim (`fits_scan`), and the brute-force reference predicates
@@ -255,50 +254,69 @@ TEST(FastpathCandidateOrder, CountingSortMatchesStableSort) {
   }
 }
 
-// Speculative candidate evaluation must be byte-identical at every thread
-// count and to the non-speculating serial path. n=64 crosses the
-// speculation size gate; the tight #wl cap forces real relocation work.
-TEST(FastpathSpeculation, OpeningsDeterministicAcrossJobs) {
+// The opening phase is one serial candidate loop, so its outcome *and* its
+// search-path counters are identical at every pool size. The tight #wl cap
+// forces real relocation work: failed candidates, rollbacks, memo skips.
+TEST(FastpathOpening, OutcomeAndProbeCountersAreJobsInvariant) {
   const int n = 64;
   const Instance inst = make_instance(n, Traffic::all_to_all(n), false);
   MappingOptions mo;
-  mo.max_wavelengths = n / 4;  // tight: candidates fail, memo + batches engage
+  mo.max_wavelengths = n / 4;
+  const char* const kProbeCounters[] = {"mapping.fits_probes",
+                                        "mapping.fits_summary_hits",
+                                        "mapping.reloc_attempts"};
 
-  const auto run = [&](int jobs, bool speculate) {
+  struct Outcome {
+    Mapping mapping;
+    OpeningStats stats;
+    std::vector<long long> probes;
+  };
+  const auto run = [&](int jobs) {
     par::set_jobs(jobs);
-    Mapping mapping =
-        assign_wavelengths(inst.ring.tour, inst.traffic, inst.plan, mo);
-    OpeningOptions oo;
-    oo.speculate = speculate;
-    const OpeningStats stats =
-        create_openings(inst.ring.tour, inst.traffic, mapping, mo, oo);
+    obs::Context ctx;
+    Outcome out;
+    {
+      obs::ScopedContext scope(ctx);
+      out.mapping =
+          assign_wavelengths(inst.ring.tour, inst.traffic, inst.plan, mo);
+      out.stats =
+          create_openings(inst.ring.tour, inst.traffic, out.mapping, mo);
+      for (const char* key : kProbeCounters) {
+        out.probes.push_back(ctx.registry().counter(key).value());
+      }
+    }
     par::set_jobs(0);
-    return std::make_pair(std::move(mapping), stats);
+    return out;
   };
 
-  const auto [serial_map, serial_stats] = run(1, /*speculate=*/false);
-  for (const int jobs : {1, 2, 8}) {
-    const auto [spec_map, spec_stats] = run(jobs, /*speculate=*/true);
-    EXPECT_EQ(spec_stats.relocated_signals, serial_stats.relocated_signals)
+  const Outcome serial = run(1);
+  ASSERT_GT(serial.stats.relocated_signals, 0)
+      << "workload must exercise the relocation path";
+  for (const int jobs : {2, 8}) {
+    const Outcome got = run(jobs);
+    EXPECT_EQ(got.stats.relocated_signals, serial.stats.relocated_signals)
         << "jobs=" << jobs;
-    EXPECT_EQ(spec_stats.extra_waveguides, serial_stats.extra_waveguides)
+    EXPECT_EQ(got.stats.extra_waveguides, serial.stats.extra_waveguides)
         << "jobs=" << jobs;
-    expect_mappings_identical(spec_map, serial_map);
+    expect_mappings_identical(got.mapping, serial.mapping);
+    for (std::size_t k = 0; k < serial.probes.size(); ++k) {
+      EXPECT_EQ(got.probes[k], serial.probes[k])
+          << kProbeCounters[k] << " at jobs=" << jobs;
+    }
   }
 }
 
 // The memoized-skip counter: (a) it fires on workloads with repeated
-// failing moving sets, (b) it is jobs-invariant (memo decisions replay in
-// the serial consume order regardless of speculation), and (c) skipping
-// does not change any outcome (covered by the determinism test above; here
-// the serial-vs-speculative mapping equality is re-checked under obs).
+// failing moving sets, (b) it is jobs-invariant, and (c) skipping does not
+// change any outcome (the mapping is re-checked under obs at every pool
+// size).
 TEST(FastpathMemo, MemoizedSkipsAreJobsInvariant) {
   const int n = 64;
   const Instance inst = make_instance(n, Traffic::all_to_all(n), false);
   MappingOptions mo;
   mo.max_wavelengths = n / 4;
 
-  const auto run = [&](int jobs, bool speculate) {
+  const auto run = [&](int jobs) {
     par::set_jobs(jobs);
     obs::Context ctx;
     long long memoized = 0;
@@ -307,9 +325,7 @@ TEST(FastpathMemo, MemoizedSkipsAreJobsInvariant) {
       obs::ScopedContext scope(ctx);
       mapping =
           assign_wavelengths(inst.ring.tour, inst.traffic, inst.plan, mo);
-      OpeningOptions oo;
-      oo.speculate = speculate;
-      create_openings(inst.ring.tour, inst.traffic, mapping, mo, oo);
+      create_openings(inst.ring.tour, inst.traffic, mapping, mo);
       memoized =
           ctx.registry().counter("mapping.candidates_memoized").value();
     }
@@ -317,13 +333,13 @@ TEST(FastpathMemo, MemoizedSkipsAreJobsInvariant) {
     return std::make_pair(std::move(mapping), memoized);
   };
 
-  const auto [serial_map, serial_memo] = run(1, /*speculate=*/false);
+  const auto [serial_map, serial_memo] = run(1);
   ASSERT_GT(serial_memo, 0)
       << "workload must exercise the memoized-skip path";
   for (const int jobs : {2, 8}) {
-    const auto [spec_map, spec_memo] = run(jobs, /*speculate=*/true);
-    EXPECT_EQ(spec_memo, serial_memo) << "jobs=" << jobs;
-    expect_mappings_identical(spec_map, serial_map);
+    const auto [got_map, got_memo] = run(jobs);
+    EXPECT_EQ(got_memo, serial_memo) << "jobs=" << jobs;
+    expect_mappings_identical(got_map, serial_map);
   }
 }
 
@@ -345,17 +361,15 @@ TEST(FastpathOverflow, ExtraWaveguidePathMatchesReference) {
     const OpeningStats fs =
         create_openings(inst.ring.tour, inst.traffic, fast, mo);
 
-    // Reference: same pipeline with speculation off at 1 job exercises the
-    // serial transaction path; brute-force agreement of that path is
-    // covered exhaustively by test_mapping_index. Here the two production
-    // paths must agree on the overflow outcome.
+    // Reference: the same pipeline at 1 job; brute-force agreement of the
+    // transaction path is covered exhaustively by test_mapping_index. Here
+    // the default pool and the serial pool must agree on the overflow
+    // outcome.
     par::set_jobs(1);
     Mapping serial = assign_wavelengths(inst.ring.tour, inst.traffic,
                                         inst.plan, mo);
-    OpeningOptions oo;
-    oo.speculate = false;
     const OpeningStats ss =
-        create_openings(inst.ring.tour, inst.traffic, serial, mo, oo);
+        create_openings(inst.ring.tour, inst.traffic, serial, mo);
     par::set_jobs(0);
 
     EXPECT_EQ(fs.relocated_signals, ss.relocated_signals) << "seed " << seed;

@@ -68,22 +68,6 @@ TEST(ParallelFor, NestedLoopsComplete) {
   EXPECT_EQ(total.load(), 8 * 64);
 }
 
-TEST(ParallelReduce, ChunkOrderIsIndependentOfThreadCount) {
-  // String concatenation is order-sensitive, so equality across pool sizes
-  // proves the combine order is fixed by the chunking, not the scheduling.
-  auto run = [](int jobs) {
-    par::ThreadPool pool(jobs);
-    return par::parallel_reduce(
-        pool, 0, 26, std::string(),
-        [](long i, std::string& acc) { acc += static_cast<char>('a' + i); },
-        [](std::string& into, std::string& chunk) { into += chunk; }, 3);
-  };
-  const std::string serial = run(1);
-  EXPECT_EQ(serial, "abcdefghijklmnopqrstuvwxyz");
-  EXPECT_EQ(run(2), serial);
-  EXPECT_EQ(run(8), serial);
-}
-
 TEST(TaskGroup, WaitResolvesAllTasksAndRethrows) {
   par::ThreadPool pool(4);
   {
@@ -196,45 +180,20 @@ TEST(Determinism, LpCountersReplayTheSerialSearch) {
   m.set_maximize(true);
   const int a = m.add_binary(10), b = m.add_binary(13), c = m.add_binary(7);
   m.add_constraint({{a, 3.0}, {b, 4.0}, {c, 2.0}}, milp::Sense::kLe, 6.0);
-  auto count = [&](int threads) {
-    milp::BnbOptions opt;
-    opt.threads = threads;
+  auto count = [&](int jobs) {
+    par::set_jobs(jobs);
     obs::set_enabled(true);
     obs::registry().reset();
-    (void)milp::solve(m, opt);
+    (void)milp::solve(m, milp::BnbOptions{});
     const auto flat = obs::registry().flatten();
     obs::set_enabled(false);
+    par::set_jobs(0);
     return std::make_pair(flat.at("lp.solves"), flat.at("lp.pivots"));
   };
   const auto serial = count(1);
   const auto spec = count(8);
   EXPECT_EQ(serial.first, spec.first);
   EXPECT_EQ(serial.second, spec.second);
-}
-
-TEST(Determinism, BnbThreadsOptionOverridesGlobalPool) {
-  // An explicit BnbOptions::threads engages speculation even when the
-  // global pool is serial — and still returns the serial answer.
-  par::set_jobs(1);
-  milp::Model m;
-  m.set_maximize(true);
-  const int a = m.add_binary(10), b = m.add_binary(13), c = m.add_binary(7);
-  m.add_constraint({{a, 3.0}, {b, 4.0}, {c, 2.0}}, milp::Sense::kLe, 6.0);
-  milp::BnbOptions serial_opt;
-  serial_opt.threads = 1;
-  const milp::MipResult serial = milp::solve(m, serial_opt);
-  milp::BnbOptions spec_opt;
-  spec_opt.threads = 4;
-  const milp::MipResult spec = milp::solve(m, spec_opt);
-  par::set_jobs(0);
-  ASSERT_EQ(serial.status, milp::MipStatus::kOptimal);
-  ASSERT_EQ(spec.status, milp::MipStatus::kOptimal);
-  EXPECT_EQ(serial.objective, spec.objective);
-  EXPECT_EQ(serial.nodes, spec.nodes);
-  ASSERT_EQ(serial.x.size(), spec.x.size());
-  for (std::size_t i = 0; i < serial.x.size(); ++i) {
-    EXPECT_EQ(serial.x[i], spec.x[i]);
-  }
 }
 
 TEST(Determinism, WarmStartCountersIdenticalAt128Threads) {

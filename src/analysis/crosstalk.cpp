@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "phys/units.hpp"
 
@@ -27,54 +28,87 @@ struct NoiseSink {
   }
 };
 
+/// Attenuation factors of walk_ring_noise, per (ring waveguide, tour
+/// position): `leave` for the hop the waveguide's light takes out of the
+/// position, `node` for the position's off-resonance devices and PDN
+/// crossings. Each entry is computed with the walk's own expression, so it
+/// is the same double the walk would compute inline; a comb-PDN design runs
+/// one walk per tap and wavelength, which would otherwise repeat these
+/// `std::pow`s at every step.
+struct WalkFactors {
+  int nodes = 0;
+  std::vector<double> leave;  ///< [waveguide * nodes + position]
+  std::vector<double> node;   ///< [waveguide * nodes + position]
+  double absorb = 0.0;        ///< matched drop-MRR + photodetector
+
+  explicit WalkFactors(const AnalysisContext& ctx) {
+    const RouterDesign& d = ctx.design();
+    const phys::LossParams& lp = d.params.loss;
+    const ring::Tour& tour = d.ring.tour;
+    const DeviceIndex& dev = ctx.devices();
+    const int rx_mrrs = d.params.crosstalk.residue_filter ? 2 : 1;
+    nodes = tour.size();
+    const std::size_t size = d.mapping.waveguides.size() * nodes;
+    leave.resize(size);
+    node.resize(size);
+    for (int w = 0; w < static_cast<int>(d.mapping.waveguides.size()); ++w) {
+      const bool cw = d.mapping.waveguides[w].dir == mapping::Direction::kCw;
+      const double scale = d.ring_scale(w);
+      for (int p = 0; p < nodes; ++p) {
+        // For cw travel from position p the hop index is p; for ccw it is
+        // p-1 (Tour::hop_length wraps it).
+        const double hop_mm =
+            tour.hop_length(cw ? p : p - 1) / 1000.0 * scale;
+        leave[w * nodes + p] =
+            phys::db_to_linear(-hop_mm * lp.propagation_db_per_mm);
+        double node_db =
+            (rx_mrrs * dev.receivers_at(w, p) + dev.senders_at(w, p)) *
+            lp.through_db;
+        if (d.has_pdn) node_db += dev.pdn_crossings_at(w, p) * lp.crossing_db;
+        node[w * nodes + p] = phys::db_to_linear(-node_db);
+      }
+    }
+    absorb = phys::db_to_linear(-(lp.drop_db + lp.photodetector_db));
+  }
+};
+
 /// Walks noise injected on ring waveguide `w` at node `at`, travelling the
 /// waveguide's transmission direction, until a wavelength-matched receiver
 /// absorbs it, the opening terminates it, or a full lap decays it. All
 /// per-node device lookups go through the context's DeviceIndex — O(1) per
-/// node instead of a rescan of the waveguide's signal list — with the
-/// attenuation expression kept in the exact operation order of the
-/// brute-force walk (see analysis/reference.cpp).
-void walk_ring_noise(const AnalysisContext& ctx, int w, NodeId at,
-                     int wavelength, double power_mw, NoiseSink& sink) {
+/// node instead of a rescan of the waveguide's signal list — and the
+/// attenuation factors come from WalkFactors, applied in the exact
+/// operation order of the brute-force walk (see analysis/reference.cpp).
+void walk_ring_noise(const AnalysisContext& ctx, const WalkFactors& f, int w,
+                     NodeId at, int wavelength, double power_mw,
+                     NoiseSink& sink) {
   if (power_mw < kNegligibleMw) return;
   const RouterDesign& d = ctx.design();
-  const phys::LossParams& lp = d.params.loss;
-  const ring::Tour& tour = d.ring.tour;
   const mapping::RingWaveguide& wg = d.mapping.waveguides[w];
   const DeviceIndex& dev = ctx.devices();
-  const double scale = d.ring_scale(w);
-  const int n = tour.size();
-  const int step = wg.dir == mapping::Direction::kCw ? 1 : -1;
-  const double absorb_db = lp.drop_db + lp.photodetector_db;
-  const bool has_pdn = d.has_pdn;
-  const int rx_mrrs = d.params.crosstalk.residue_filter ? 2 : 1;
+  const int n = f.nodes;
+  const int step = wg.dir == mapping::Direction::kCw ? 1 : n - 1;
+  const double* leave = f.leave.data() + static_cast<std::size_t>(w) * n;
+  const double* node = f.node.data() + static_cast<std::size_t>(w) * n;
 
-  int pos = ctx.arcs().position(at);
+  int p = ctx.arcs().position(at);
   for (int travelled = 0; travelled < n; ++travelled) {
-    // Propagate over the hop to the next node. For cw travel from position
-    // p the hop index is p; for ccw travel it is p-1.
-    const int hop = wg.dir == mapping::Direction::kCw ? pos : pos - 1;
-    const double hop_mm = tour.hop_length(hop) / 1000.0 * scale;
-    power_mw *= phys::db_to_linear(-hop_mm * lp.propagation_db_per_mm);
-    pos = pos + step;
-    const int p = ((pos % n) + n) % n;
+    // Propagate over the hop to the next node.
+    power_mw *= leave[p];
+    p = (p + step) % n;
     if (power_mw < kNegligibleMw) return;
 
     // Receiver bank first: a matched drop-MRR absorbs the noise into its
     // photodetector.
     const SignalId receiver = dev.receiver_on(w, p, wavelength);
     if (receiver >= 0) {
-      sink.deposit(receiver, power_mw * phys::db_to_linear(-absorb_db));
+      sink.deposit(receiver, power_mw * f.absorb);
       return;
     }
     // The opening cut sits between the receiver and sender banks.
-    if (wg.opening == tour.at(p)) return;
+    if (wg.opening == d.ring.tour.at(p)) return;
     // Attenuation by the node's off-resonance devices and PDN crossings.
-    double node_db =
-        (rx_mrrs * dev.receivers_at(w, p) + dev.senders_at(w, p)) *
-        lp.through_db;
-    if (has_pdn) node_db += dev.pdn_crossings_at(w, p) * lp.crossing_db;
-    power_mw *= phys::db_to_linear(-node_db);
+    power_mw *= node[p];
   }
 }
 
@@ -127,7 +161,8 @@ void deliver_shortcut_noise(const AnalysisContext& ctx, int sc, NodeId end,
 
 /// Rows from one comb-PDN crossing tap: every wavelength the laser emits
 /// leaks a fraction of its continuous-wave power into the crossed waveguide.
-void emit_pdn_tap(const AnalysisContext& ctx, const std::vector<double>& laser_mw,
+void emit_pdn_tap(const AnalysisContext& ctx, const WalkFactors& factors,
+                  const std::vector<double>& laser_mw,
                   const pdn::CrossingTap& tap,
                   std::vector<XtalkContribution>& rows) {
   const RouterDesign& d = ctx.design();
@@ -142,13 +177,13 @@ void emit_pdn_tap(const AnalysisContext& ctx, const std::vector<double>& laser_m
     const double leak = laser_mw[wl] *
                         phys::db_to_linear(-(tap.attenuation_db + lp.coupler_db)) *
                         kx;
-    walk_ring_noise(ctx, tap.waveguide, tap.node, wl, leak, sink);
+    walk_ring_noise(ctx, factors, tap.waveguide, tap.node, wl, leak, sink);
   }
 }
 
 /// Rows from one aggressor signal (crossing leaks, CSE/receiver residue,
 /// residual ring-geometry crossings).
-void emit_signal(const AnalysisContext& ctx,
+void emit_signal(const AnalysisContext& ctx, const WalkFactors* factors,
                  const std::vector<LossBreakdown>& losses,
                  const std::vector<double>& laser_mw, std::size_t i,
                  std::vector<XtalkContribution>& rows) {
@@ -221,7 +256,7 @@ void emit_signal(const AnalysisContext& ctx,
       sink.aggressor = id;
       sink.source = XtalkSource::kReceiverResidue;
       sink.node = sig.dst;
-      walk_ring_noise(ctx, r.waveguide, sig.dst, r.wavelength,
+      walk_ring_noise(ctx, *factors, r.waveguide, sig.dst, r.wavelength,
                       at_receiver * kres, sink);
     }
 
@@ -261,8 +296,8 @@ void emit_signal(const AnalysisContext& ctx,
                 laser_mw[r.wavelength] *
                 phys::db_to_linear(-losses[i].total_db() / 2.0);  // mid-path
             sink.node = tour.at(g);
-            walk_ring_noise(ctx, r.waveguide, tour.at(g), r.wavelength,
-                            p * kx * crossings, sink);
+            walk_ring_noise(ctx, *factors, r.waveguide, tour.at(g),
+                            r.wavelength, p * kx * crossings, sink);
           }
         }
       }
@@ -280,12 +315,23 @@ std::vector<double> compute_noise(const AnalysisContext& ctx,
 
   // One pass: every PDN crossing tap, then every aggressor signal, each
   // recording its deposits; the fold below sums them in emission order.
-  std::vector<XtalkContribution> rows;
-  if (d.has_pdn) {
-    for (const auto& tap : d.pdn.taps) emit_pdn_tap(ctx, laser_mw, tap, rows);
+  // The walk factors are built only when some walk can run: comb-PDN taps,
+  // receiver residue without the Fig. 5(b) filter, or residual ring
+  // crossings. XRing's tree-PDN designs have none of these.
+  const bool has_taps = d.has_pdn && !d.pdn.taps.empty();
+  std::optional<WalkFactors> factors;
+  if (has_taps || !d.params.crosstalk.residue_filter || d.ring.crossings > 0) {
+    factors.emplace(ctx);
   }
+  std::vector<XtalkContribution> rows;
+  if (has_taps) {
+    for (const auto& tap : d.pdn.taps) {
+      emit_pdn_tap(ctx, *factors, laser_mw, tap, rows);
+    }
+  }
+  const WalkFactors* walk = factors ? &*factors : nullptr;
   for (std::size_t i = 0; i < d.mapping.routes.size(); ++i) {
-    emit_signal(ctx, losses, laser_mw, i, rows);
+    emit_signal(ctx, walk, losses, laser_mw, i, rows);
   }
 
   std::vector<double> noise(d.traffic.size(), 0.0);

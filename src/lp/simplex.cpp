@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "lp/basis.hpp"
@@ -746,7 +747,10 @@ Solution solve_impl(const Problem& p, const SolveOptions& options) {
 }  // namespace
 
 Solution solve(const Problem& p, const SolveOptions& options) {
-  obs::Span span("lp.solve");
+  // The span follows the metrics gate: a speculative solve on a pool worker
+  // would otherwise open `lp.solve` outside the caller's span tree.
+  std::optional<obs::Span> span;
+  if (options.record_metrics) span.emplace("lp.solve");
   Solution out = solve_impl(p, options);
   out.stats.rows = p.num_constraints();
   if (obs::enabled() && options.record_metrics) record_solve_metrics(out);

@@ -113,9 +113,10 @@ struct SolveOptions {
   int max_iterations = 200000;
   double tolerance = 1e-8;
   /// When false, the solve skips the `lp.solves`/`lp.pivots`/`lp.iterations`
-  /// obs counters (the tracing span still fires). Used by the MILP's
+  /// obs counters and opens no `lp.solve` span. Used by the MILP's
   /// speculative solves so those counters stay identical at every thread
-  /// count: the search records a speculated solve only when it consumes it.
+  /// count (the search records a speculated solve only when it consumes it)
+  /// and no pool-worker span lands outside the caller's span tree.
   bool record_metrics = true;
   Kernel kernel = Kernel::kSparseLu;
   /// Optional basis to warm-start from (see WarmBasis). Ignored when its

@@ -129,7 +129,8 @@ class ArcTable {
 ///
 /// All mutations of the mapping's ring state must go through this class
 /// while an index is live. Predicates are *bit-identical* to the brute-force
-/// reference implementations (`mapping::fits`, `mapping::passing_signals`):
+/// reference implementations (`reference::fits` in tests/oracle,
+/// `mapping::passing_signals`):
 /// the index only evaluates the same predicates faster, which
 /// tests/test_mapping_index.cpp and tests/test_mapping_fastpath.cpp enforce
 /// differentially.
@@ -138,7 +139,8 @@ class OccupancyIndex {
   /// Builds the index over the mapping's current ring placements.
   OccupancyIndex(const ArcTable& arcs, Mapping& mapping);
 
-  /// Indexed equivalent of mapping::fits(tour, traffic, m, w, wl, id).
+  /// Indexed equivalent of the brute-force reference::fits(tour, traffic, m,
+  /// w, wl, id) (tests/oracle/mapping_reference.hpp).
   /// Summary fast path first, word scan only when the summary is
   /// inconclusive; always returns exactly what `fits_scan` would.
   bool fits(int waveguide, int wavelength, SignalId id) const;

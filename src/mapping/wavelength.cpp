@@ -40,34 +40,6 @@ std::vector<NodeId> interior_nodes(const ring::Tour& tour, NodeId src,
   return out;
 }
 
-bool fits(const ring::Tour& tour, const netlist::Traffic& traffic,
-          const Mapping& mapping, int waveguide, int wavelength,
-          SignalId signal) {
-  const RingWaveguide& w = mapping.waveguides[waveguide];
-  const auto& sig = traffic.signal(signal);
-
-  // An already-fixed opening must not lie inside the signal's arc.
-  if (w.opening != -1) {
-    for (const NodeId v : interior_nodes(tour, sig.src, sig.dst, w.dir)) {
-      if (v == w.opening) return false;
-    }
-  }
-
-  const std::vector<int> mine = occupied_hops(tour, sig.src, sig.dst, w.dir);
-  std::vector<bool> covered(tour.size(), false);
-  for (const int h : mine) covered[h] = true;
-
-  for (const SignalId other : w.signals) {
-    if (other == signal) continue;
-    if (mapping.routes[other].wavelength != wavelength) continue;
-    const auto& o = traffic.signal(other);
-    for (const int h : occupied_hops(tour, o.src, o.dst, w.dir)) {
-      if (covered[h]) return false;
-    }
-  }
-  return true;
-}
-
 namespace {
 
 /// First-fit probe over the waveguides of the direction, on the incremental
@@ -218,23 +190,27 @@ Mapping assign_wavelengths(const ring::Tour& tour,
   m.wavelengths_used = max_wl + 1;
   if (obs::enabled()) {
     obs::Registry& reg = obs::registry();
-    reg.gauge("mapping.ring_waveguides")
-        .set(static_cast<double>(m.waveguides.size()));
-    reg.gauge("mapping.wavelengths_used").set(m.wavelengths_used);
-    long long shortcut_routes = 0;
-    for (const SignalRoute& r : m.routes) {
-      if (r.kind == RouteKind::kShortcut || r.kind == RouteKind::kCse) {
-        ++shortcut_routes;
-      }
-    }
-    reg.gauge("mapping.shortcut_routes")
-        .set(static_cast<double>(shortcut_routes));
     const OccupancyIndex::SearchStats& ss = index.search_stats();
     reg.counter("mapping.fits_probes").add(ss.fits_probes);
     reg.counter("mapping.fits_summary_hits").add(ss.fits_summary_hits);
     reg.counter("mapping.reloc_attempts").add(ss.reloc_attempts);
   }
   return m;
+}
+
+void record_gauges(const Mapping& m) {
+  if (!obs::enabled()) return;
+  obs::Registry& reg = obs::registry();
+  reg.gauge("mapping.ring_waveguides")
+      .set(static_cast<double>(m.waveguides.size()));
+  reg.gauge("mapping.wavelengths_used").set(m.wavelengths_used);
+  long long shortcut_routes = 0;
+  for (const SignalRoute& r : m.routes) {
+    if (r.kind == RouteKind::kShortcut || r.kind == RouteKind::kCse) {
+      ++shortcut_routes;
+    }
+  }
+  reg.gauge("mapping.shortcut_routes").set(static_cast<double>(shortcut_routes));
 }
 
 }  // namespace xring::mapping

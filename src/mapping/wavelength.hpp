@@ -96,21 +96,18 @@ std::vector<NodeId> interior_nodes(const ring::Tour& tour, NodeId src,
 /// (tour, traffic) pair — a `#wl` sweep builds it once (see
 /// Synthesizer::make_sweep_cache) instead of once per setting; when null a
 /// local table is built. Either way the result is bit-identical to the
-/// brute-force reference predicates below.
+/// brute-force first-fit over tests/oracle/mapping_reference.hpp's `fits`.
 Mapping assign_wavelengths(const ring::Tour& tour,
                            const netlist::Traffic& traffic,
                            const shortcut::ShortcutPlan& shortcuts,
                            const MappingOptions& options = {},
                            const ArcTable* shared_arcs = nullptr);
 
-/// True if the signal can be added to (waveguide, wavelength) without arc
-/// overlap with same-wavelength signals and without passing the waveguide's
-/// opening (when already fixed). Brute-force REFERENCE implementation:
-/// the synthesis hot paths use OccupancyIndex::fits (bit-identical, O(n/64)
-/// instead of O(co-resident signals × path)); this version is kept for the
-/// differential test (tests/test_mapping_index.cpp), the DRC, and reports.
-bool fits(const ring::Tour& tour, const netlist::Traffic& traffic,
-          const Mapping& mapping, int waveguide, int wavelength,
-          SignalId signal);
+/// Sets the `mapping.ring_waveguides`, `mapping.wavelengths_used` and
+/// `mapping.shortcut_routes` gauges from a finished design's mapping. Only
+/// serial code calls it (Synthesizer::run for its one design, the `#wl`
+/// sweep's reduce for the selected design), so a gauge never depends on
+/// which concurrent sweep setting finished last.
+void record_gauges(const Mapping& mapping);
 
 }  // namespace xring::mapping

@@ -324,6 +324,10 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
         it = cache.end();
       }
       if (it != cache.end()) {
+        // The speculative solve opened no span (record_metrics is off). Like
+        // its counters, its lp.solve span is booked here, on this thread's
+        // span tree; it covers the wait for the result.
+        obs::Span consumed("lp.solve");
         while (!it->second.ready) {
           lk.unlock();
           if (!par::global_pool().try_run_one()) {

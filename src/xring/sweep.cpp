@@ -73,6 +73,7 @@ SweepResult sweep(const SynthesisAtWl& synthesize, SweepGoal goal, int min_wl,
       out.result = std::move(r);
     }
   }
+  if (have) mapping::record_gauges(out.result.design.mapping);
   out.wall_seconds = span.elapsed_seconds();
   return out;
 }

@@ -36,6 +36,8 @@ struct SweepResult {
 /// ascending #wl, so the selected design is bit-identical to the serial
 /// sweep at any thread count. `synthesize` must therefore be safe to call
 /// concurrently (the XRing pipeline is: it shares only immutable state).
+/// The reduce records the selected design's `mapping.*` gauges
+/// (mapping::record_gauges).
 SweepResult sweep(const SynthesisAtWl& synthesize, SweepGoal goal, int min_wl,
                   int max_wl);
 

@@ -12,6 +12,7 @@ SynthesisResult Synthesizer::run(const SynthesisOptions& options) const {
   const ring::RingBuildResult ring =
       ring::build_ring(*floorplan_, oracle(), options.ring);
   SynthesisResult out = synthesize_from_ring(options, ring, nullptr);
+  mapping::record_gauges(out.design.mapping);
   // The root span covers ring construction, so its elapsed time alone is the
   // full wall-clock figure.
   out.seconds = root.elapsed_seconds();

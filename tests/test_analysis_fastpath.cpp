@@ -7,13 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <vector>
 
 #include "analysis/evaluate.hpp"
 #include "analysis/reference.hpp"
 #include "analysis/substrate.hpp"
+#include "baseline/ornoc.hpp"
 #include "crossbar/physical.hpp"
+#include "ring/heuristic.hpp"
 #include "xring/synthesizer.hpp"
 
 namespace xring::analysis {
@@ -149,6 +152,50 @@ TEST(AnalysisFastPath, VariantConfigurationsMatchReference) {
     SynthesisOptions opt;
     opt.build_pdn = false;
     expect_fast_path_matches_reference(synth.run(opt).design);
+  }
+}
+
+/// `nodes` distinct sites drawn uniformly from a 12 x 12 grid at 1 mm pitch:
+/// unequal hop lengths, unlike the standard floorplans' uniform pitch.
+netlist::Floorplan irregular_floorplan(int nodes, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> cell(0, 11);
+  std::vector<netlist::Node> out;
+  std::vector<geom::Point> used;
+  while (static_cast<int>(out.size()) < nodes) {
+    const geom::Point p{static_cast<geom::Coord>(cell(rng)) * 1000,
+                        static_cast<geom::Coord>(cell(rng)) * 1000};
+    if (std::find(used.begin(), used.end(), p) != used.end()) continue;
+    used.push_back(p);
+    out.push_back({0, p, ""});
+  }
+  return netlist::Floorplan(std::move(out), 13000, 13000);
+}
+
+TEST(AnalysisFastPath, OrnocCombPdnMatchesReference) {
+  // ORNoC's comb PDN taps every crossed waveguide, so these designs run one
+  // noise walk per tap and wavelength — far more walks than any XRing
+  // design — over many waveguides, some riding the long way around. The
+  // irregular floorplan's unequal hops make a walk that charges the wrong
+  // hop visible.
+  const int n = 32;
+  const auto standard = netlist::Floorplan::standard(n);
+  const auto irregular = irregular_floorplan(n, 7);
+  for (const netlist::Floorplan* fp : {&standard, &irregular}) {
+    SCOPED_TRACE(fp == &standard ? "standard" : "irregular");
+    const Synthesizer synth(*fp);
+    ring::RingBuildResult ring;
+    ring.geometry = ring::realize(
+        ring::Tour(ring::heuristic_tour(*fp, synth.oracle()), fp), *fp);
+    for (const int wl : {16, 32}) {
+      SCOPED_TRACE(wl);
+      baseline::OrnocOptions o;
+      o.max_wavelengths = wl;
+      const SynthesisResult r = baseline::synthesize_ornoc(*fp, ring, o);
+      ASSERT_TRUE(r.design.has_pdn);
+      ASSERT_FALSE(r.design.pdn.taps.empty());
+      expect_fast_path_matches_reference(r.design);
+    }
   }
 }
 

@@ -4,11 +4,12 @@
 // memoized-candidate skip.
 //
 // Three levels are compared: the production fast path, the PR-4 word scan
-// kept verbatim (`fits_scan`), and the brute-force reference predicates
-// (`mapping::fits`). The contract is BIT-IDENTICAL decisions — the fast
-// paths may only skip work with a proof, never change an answer — so every
-// test asserts exact equality of predicates, probe outcomes, complete
-// mappings, and opening statistics, at 1, 2, and 8 pool jobs.
+// kept verbatim (`fits_scan`), and the brute-force reference predicate
+// (`reference::fits`, tests/oracle/mapping_reference.hpp). The contract is
+// BIT-IDENTICAL decisions — the fast paths may only skip work with a proof,
+// never change an answer — so every test asserts exact equality of
+// predicates, probe outcomes, complete mappings, and opening statistics, at
+// 1, 2, and 8 pool jobs.
 
 #include "mapping/occupancy.hpp"
 
@@ -21,6 +22,7 @@
 #include <set>
 
 #include "mapping/opening.hpp"
+#include "oracle/mapping_reference.hpp"
 #include "obs/context.hpp"
 #include "obs/obs.hpp"
 #include "par/pool.hpp"
@@ -32,6 +34,7 @@ namespace {
 
 using netlist::NodeId;
 using netlist::Traffic;
+using reference::fits;
 
 Traffic random_traffic(int nodes, int signal_count, unsigned seed) {
   std::mt19937 rng(seed);

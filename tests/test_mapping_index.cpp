@@ -20,6 +20,7 @@
 #include <set>
 
 #include "mapping/opening.hpp"
+#include "oracle/mapping_reference.hpp"
 #include "ring/builder.hpp"
 #include "shortcut/shortcut.hpp"
 
@@ -28,11 +29,12 @@ namespace {
 
 using netlist::NodeId;
 using netlist::Traffic;
+using reference::fits;
 
 // --------------------------------------------------------------------------
 // Reference implementations: the exact pre-index Step-3 hot loops (deep-copy
 // transactions, per-probe occupied_hops/interior_nodes derivation), built on
-// the exported brute-force predicates `fits` / `passing_signals`.
+// the brute-force predicates `reference::fits` / `passing_signals`.
 
 std::pair<int, int> ref_place_on_ring(const ring::Tour& tour,
                                       const Traffic& traffic, Mapping& m,

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+
+#include "obs/context.hpp"
+#include "obs/obs.hpp"
+#include "par/pool.hpp"
 #include "xring/sweep.hpp"
 #include "xring/synthesizer.hpp"
 
@@ -135,7 +140,7 @@ TEST(Sweep, FindsBestSettingForEachGoal) {
 }
 
 TEST(Sweep, GenericSweepDrivesAnyCallable) {
-  int calls = 0;
+  std::atomic<int> calls{0};  // the settings run concurrently
   const SweepResult r = sweep(
       [&](int wl) {
         ++calls;
@@ -145,7 +150,7 @@ TEST(Sweep, GenericSweepDrivesAnyCallable) {
         return s;
       },
       SweepGoal::kMinPower, 2, 9);
-  EXPECT_EQ(calls, 8);
+  EXPECT_EQ(calls.load(), 8);
   EXPECT_EQ(r.best_wl, 5);
   EXPECT_EQ(r.result.metrics.total_power_w, 0.0);
 }
@@ -159,6 +164,36 @@ TEST(Sweep, MinWorstLossGoal) {
       },
       SweepGoal::kMinWorstLoss, 1, 4);
   EXPECT_EQ(r.best_wl, 4);
+}
+
+TEST(Sweep, MappingGaugesRecordTheSelectedDesign) {
+  // The #wl settings run concurrently; only the serial reduce may write the
+  // mapping.* gauges, so every run records the selected design's values,
+  // whichever setting finished last.
+  const auto fp = netlist::Floorplan::standard(16);
+  Synthesizer synth(fp);
+  par::set_jobs(8);
+  for (int round = 0; round < 5; ++round) {
+    SCOPED_TRACE(round);
+    obs::Context ctx;
+    obs::ScopedContext scope(ctx);
+    const SweepResult r =
+        sweep_xring(synth, {}, SweepGoal::kMinPower, 8, 16);
+    const mapping::Mapping& m = r.result.design.mapping;
+    long long shortcut_routes = 0;
+    for (const mapping::SignalRoute& route : m.routes) {
+      shortcut_routes += route.kind == mapping::RouteKind::kShortcut ||
+                         route.kind == mapping::RouteKind::kCse;
+    }
+    obs::Registry& reg = ctx.registry();
+    EXPECT_EQ(reg.gauge("mapping.wavelengths_used").value(),
+              m.wavelengths_used);
+    EXPECT_EQ(reg.gauge("mapping.ring_waveguides").value(),
+              static_cast<double>(m.waveguides.size()));
+    EXPECT_EQ(reg.gauge("mapping.shortcut_routes").value(),
+              static_cast<double>(shortcut_routes));
+  }
+  par::set_jobs(0);
 }
 
 /// End-to-end invariants across sizes and caps (parameterized).

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Full check pass: a sanitizer build (ASan + UBSan) of the whole tree, the
-# complete test suite run under it, and the bench regression gate (a fresh
-# Table I run diffed against bench/baselines/ with tools/bench_compare).
+# complete test suite run under it, and the bench regression gate (fresh
+# Table I-III runs diffed against bench/baselines/ with tools/bench_compare).
 # Usage:
 #
 #   tools/run_checks.sh [build-dir]       # default: build-sanitize
@@ -58,6 +58,22 @@ echo "== bench regression gate =="
 "$build_dir/tools/bench_compare" "$repo/bench/baselines/BENCH_table1.json" \
   "$build_dir/bench/BENCH_table1.json" --only-prefix analysis. \
   --rel-tolerance 0 --quiet
+# Tables II and III: the ORNoC/ORing baseline columns and XRing's rows must
+# stay byte-identical, and so must the Step-3 and evaluation counters of
+# every router the two benches synthesize. Same wide berth on wall times.
+for table in 2 3; do
+  case $table in
+    2) bench=table2_ornoc_vs_xring ;;
+    3) bench=table3_oring_vs_xring ;;
+  esac
+  (cd "$build_dir/bench" && ./$bench > /dev/null)
+  for prefix in table$table. mapping. analysis.; do
+    "$build_dir/tools/bench_compare" \
+      "$repo/bench/baselines/BENCH_table$table.json" \
+      "$build_dir/bench/BENCH_table$table.json" --only-prefix $prefix \
+      --rel-tolerance 0 --time-tolerance 25 --quiet
+  done
+done
 echo "bench gate OK"
 
 # ThreadSanitizer pass over the concurrent substrate (its own build tree —

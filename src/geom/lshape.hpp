@@ -1,7 +1,7 @@
 #pragma once
 
 #include <array>
-#include <vector>
+#include <span>
 
 #include "geom/segment.hpp"
 
@@ -27,20 +27,25 @@ class LRoute {
   const Point& bend() const { return bend_; }
 
   /// The one or two non-degenerate axis-aligned segments of the route.
-  const std::vector<Segment>& segments() const { return segments_; }
+  std::span<const Segment> segments() const {
+    return {segments_.data(), static_cast<std::size_t>(count_)};
+  }
 
   /// Total route length == Manhattan distance between the endpoints.
   Coord length() const { return manhattan(from_, to_); }
 
   /// True if the route degenerates to a single straight segment (or a point).
-  bool straight() const { return segments_.size() <= 1; }
+  bool straight() const { return count_ <= 1; }
 
  private:
   Point from_;
   Point to_;
   Point bend_;
   LOrder order_;
-  std::vector<Segment> segments_;
+  // The legs are stored inline (count_ of them): routes are built per
+  // conflict query and per hop, so they must not allocate.
+  int count_ = 0;
+  std::array<Segment, 2> segments_{};
 };
 
 /// Both L-route options for an edge. For axis-aligned endpoints the two
@@ -61,8 +66,16 @@ int crossing_count(const LRoute& a, const LRoute& b);
 bool routes_overlap(const LRoute& a, const LRoute& b);
 
 /// The paper's conflict test (Sec. III-A): two edges are *conflicting* iff
-/// none of the four combinations of their L-route options avoids a crossing
-/// or an overlap. Conflict-free edges can always be co-selected.
+/// none of the four combinations of their L-route options avoids a
+/// transversal crossing. Conflict-free edges can always be co-selected.
+/// Edges sharing an endpoint never conflict, and neither do edges whose
+/// bounding boxes are disjoint or meet only along a line; both exits are
+/// taken before any route is built.
 bool edges_conflict(Point a_from, Point a_to, Point b_from, Point b_to);
+
+/// The same test on precomputed `l_route_options` of both edges, for callers
+/// that query one edge against many.
+bool edges_conflict(const std::array<LRoute, 2>& a,
+                    const std::array<LRoute, 2>& b);
 
 }  // namespace xring::geom

@@ -16,22 +16,23 @@ ConflictOracle::ConflictOracle(const netlist::Floorplan& floorplan)
   }
   table_.assign(static_cast<std::size_t>(pairs_) * pairs_, false);
 
-  // Materialize every unordered node pair once.
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  pairs.reserve(pairs_);
+  // Build both L-route options of every unordered node pair once, in
+  // pair_index order; the table (all false above) is then filled without
+  // building a route.
+  std::vector<std::array<geom::LRoute, 2>> options;
+  options.reserve(pairs_);
   for (NodeId i = 0; i < n_; ++i) {
-    for (NodeId j = i + 1; j < n_; ++j) pairs.emplace_back(i, j);
+    for (NodeId j = i + 1; j < n_; ++j) {
+      options.push_back(
+          geom::l_route_options(floorplan.position(i), floorplan.position(j)));
+    }
   }
 
   for (int p = 0; p < pairs_; ++p) {
     for (int q = p + 1; q < pairs_; ++q) {
-      const auto [a1, a2] = pairs[p];
-      const auto [b1, b2] = pairs[q];
-      const bool c = geom::edges_conflict(
-          floorplan.position(a1), floorplan.position(a2),
-          floorplan.position(b1), floorplan.position(b2));
-      table_[static_cast<std::size_t>(p) * pairs_ + q] = c;
-      table_[static_cast<std::size_t>(q) * pairs_ + p] = c;
+      if (!geom::edges_conflict(options[p], options[q])) continue;
+      table_[static_cast<std::size_t>(p) * pairs_ + q] = true;
+      table_[static_cast<std::size_t>(q) * pairs_ + p] = true;
     }
   }
 }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "geom/lshape.hpp"
+#include "oracle/geom_reference.hpp"
 
 namespace xring::geom {
 namespace {
@@ -101,6 +104,29 @@ TEST(EdgesConflict, SymmetricInArguments) {
   const Point a1{0, 5}, a2{10, 5}, b1{5, 0}, b2{5, 10};
   EXPECT_EQ(edges_conflict(a1, a2, b1, b2), edges_conflict(b1, b2, a1, a2));
   EXPECT_EQ(edges_conflict(a1, a2, b1, b2), edges_conflict(a2, a1, b2, b1));
+}
+
+TEST(EdgesConflict, BothOverloadsMatchTheReferenceOnRandomQuadruples) {
+  // A 6 x 6 coordinate grid makes axis-aligned and degenerate edges,
+  // collinear legs, boxes that touch at a side or a corner, and coincident
+  // points common, so every branch of both early exits is exercised.
+  std::mt19937 rng(20230417);
+  std::uniform_int_distribution<Coord> coord(0, 5);
+  const auto point = [&] { return Point{coord(rng), coord(rng)}; };
+  int conflicts = 0;
+  for (int i = 0; i < 200000; ++i) {
+    const Point a1 = point(), a2 = point(), b1 = point(), b2 = point();
+    const bool expected = reference::edges_conflict(a1, a2, b1, b2);
+    conflicts += expected;
+    ASSERT_EQ(edges_conflict(a1, a2, b1, b2), expected)
+        << to_string(a1) << "-" << to_string(a2) << " vs " << to_string(b1)
+        << "-" << to_string(b2);
+    ASSERT_EQ(edges_conflict(l_route_options(a1, a2), l_route_options(b1, b2)),
+              expected)
+        << to_string(a1) << "-" << to_string(a2) << " vs " << to_string(b1)
+        << "-" << to_string(b2);
+  }
+  EXPECT_GT(conflicts, 1000);  // the draw is not all trivially free
 }
 
 }  // namespace

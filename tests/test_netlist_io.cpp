@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "netlist/io.hpp"
 #include "netlist/traffic.hpp"
@@ -60,6 +61,33 @@ TEST(FloorplanIo, RejectsMalformedInput) {
     std::istringstream in("die 10 10\n");
     EXPECT_THROW(read_floorplan(in), std::invalid_argument);  // no nodes
   }
+  // Degenerate and out-of-range floorplans: each diagnostic names the line
+  // (and, for a repeated site, the earlier node's line too).
+  const auto diagnostic = [](const std::string& text) -> std::string {
+    std::istringstream in(text);
+    try {
+      read_floorplan(in);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(diagnostic("die 10 10\nnode a 1 2\nnode b 3 4\nnode c 1 2\n"),
+            "line 4: node 'c' repeats the coordinates of node 'a' on line 2");
+  EXPECT_EQ(diagnostic("die 10 10\nnode a 1 2\nnode b 11 4\n"),
+            "line 3: node 'b' at (11, 4) lies outside the die [0, 10] x [0, 10]");
+  EXPECT_EQ(diagnostic("node a 0 0\nnode b 5 -1\n"),
+            "line 2: node 'b' at (5, -1) lies outside the die [0, 1005] x [0, 1000]");
+  // A die given after the nodes still bounds them.
+  EXPECT_EQ(diagnostic("node a 0 20\ndie 10 10\n"),
+            "line 1: node 'a' at (0, 20) lies outside the die [0, 10] x [0, 10]");
+  EXPECT_EQ(diagnostic("node a 0 4611686018427387904\n"),
+            "line 1: node 'a' coordinate exceeds 1073741824 um");
+  EXPECT_EQ(diagnostic("die 1073741825 10\nnode a 0 0\n"),
+            "line 1: die side exceeds 1073741824 um");
+  // The bound itself is accepted.
+  EXPECT_EQ(diagnostic("die 1073741824 1073741824\nnode a 1073741824 0\n"),
+            "accepted");
 }
 
 TEST(FloorplanIo, MissingFileThrows) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
+
+#include "oracle/geom_reference.hpp"
 #include "ring/builder.hpp"
 
 namespace xring::ring {
@@ -30,25 +34,72 @@ TEST(ConflictOracle, SameEdgeNeverConflicts) {
   EXPECT_FALSE(oracle.conflict(0, 1, 1, 0));
 }
 
+/// `nodes` distinct sites drawn uniformly from a `sites` x `sites` grid at
+/// 1 mm pitch, so node pairs share rows and columns often and their
+/// bounding boxes touch, nest and coincide.
+netlist::Floorplan irregular(int nodes, int sites, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> cell(0, sites - 1);
+  std::set<std::pair<int, int>> used;
+  std::vector<netlist::Node> out;
+  while (static_cast<int>(out.size()) < nodes) {
+    const int x = cell(rng), y = cell(rng);
+    if (!used.insert({x, y}).second) continue;
+    out.push_back({0, geom::Point{static_cast<geom::Coord>(x) * 1000,
+                                  static_cast<geom::Coord>(y) * 1000},
+                   ""});
+  }
+  const geom::Coord die = static_cast<geom::Coord>(sites + 1) * 1000;
+  return netlist::Floorplan(std::move(out), die, die);
+}
+
 TEST(ConflictOracle, MatchesDirectGeometryTest) {
-  const auto fp = netlist::Floorplan::grid(3, 3, 10);
-  const ConflictOracle oracle(fp);
-  for (netlist::NodeId a = 0; a < 9; ++a) {
-    for (netlist::NodeId b = a + 1; b < 9; ++b) {
-      for (netlist::NodeId c = 0; c < 9; ++c) {
-        for (netlist::NodeId d = c + 1; d < 9; ++d) {
-          if (a == c && b == d) continue;
-          const bool direct =
-              a == c || a == d || b == c || b == d
-                  ? false
-                  : geom::edges_conflict(fp.position(a), fp.position(b),
-                                         fp.position(c), fp.position(d));
-          EXPECT_EQ(oracle.conflict(a, b, c, d), direct)
-              << a << "," << b << " vs " << c << "," << d;
+  const auto grid = netlist::Floorplan::grid(3, 3, 10);
+  const auto scattered = irregular(24, 12, 7);
+  for (const netlist::Floorplan* fp : {&grid, &scattered}) {
+    SCOPED_TRACE(fp->size());
+    const ConflictOracle oracle(*fp);
+    ASSERT_TRUE(oracle.dense());
+    const NodeId n = fp->size();
+    for (NodeId a = 0; a < n; ++a) {
+      for (NodeId b = a + 1; b < n; ++b) {
+        for (NodeId c = 0; c < n; ++c) {
+          for (NodeId d = c + 1; d < n; ++d) {
+            if (a == c && b == d) continue;
+            ASSERT_EQ(oracle.conflict(a, b, c, d),
+                      geom::reference::edges_conflict(
+                          fp->position(a), fp->position(b), fp->position(c),
+                          fp->position(d)))
+                << a << "," << b << " vs " << c << "," << d;
+          }
         }
       }
     }
   }
+}
+
+TEST(ConflictOracle, OnDemandModeMatchesDirectGeometryTest) {
+  // One node past the dense limit the oracle answers every query from
+  // geometry; sample it against the reference.
+  const int n = ConflictOracle::kDenseNodeLimit + 1;
+  const auto fp = irregular(n, 16, 11);
+  const ConflictOracle oracle(fp);
+  ASSERT_FALSE(oracle.dense());
+  std::mt19937 rng(5);
+  std::uniform_int_distribution<NodeId> node(0, n - 1);
+  int conflicts = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const NodeId a = node(rng), b = node(rng), c = node(rng), d = node(rng);
+    const bool same_edge = (a == c && b == d) || (a == d && b == c);
+    const bool expected =
+        a != b && c != d && !same_edge &&
+        geom::reference::edges_conflict(fp.position(a), fp.position(b),
+                                        fp.position(c), fp.position(d));
+    conflicts += expected;
+    ASSERT_EQ(oracle.conflict(a, b, c, d), expected)
+        << a << "," << b << " vs " << c << "," << d;
+  }
+  EXPECT_GT(conflicts, 0);
 }
 
 TEST(Tour, ArcLengthsAndHops) {

@@ -60,14 +60,16 @@ echo "== bench regression gate =="
   --rel-tolerance 0 --quiet
 # Tables II and III: the ORNoC/ORing baseline columns and XRing's rows must
 # stay byte-identical, and so must the Step-3 and evaluation counters of
-# every router the two benches synthesize. Same wide berth on wall times.
+# every router the two benches synthesize, and Step 1's solver answers and
+# realized rings (Table II's n = 32 ring is the largest Step-1 solve any
+# gate checks). Same wide berth on wall times.
 for table in 2 3; do
   case $table in
     2) bench=table2_ornoc_vs_xring ;;
     3) bench=table3_oring_vs_xring ;;
   esac
   (cd "$build_dir/bench" && ./$bench > /dev/null)
-  for prefix in table$table. mapping. analysis.; do
+  for prefix in table$table. mapping. analysis. ring. milp.; do
     "$build_dir/tools/bench_compare" \
       "$repo/bench/baselines/BENCH_table$table.json" \
       "$build_dir/bench/BENCH_table$table.json" --only-prefix $prefix \

@@ -23,7 +23,6 @@
 #include "geom/sweep.hpp"
 #include "milp/branch_and_bound.hpp"
 #include "obs/export.hpp"
-#include "par/pool.hpp"
 #include "sim/simulator.hpp"
 #include "xring/synthesizer.hpp"
 
@@ -309,20 +308,8 @@ void BM_SimplexWideLp(benchmark::State& state) {
 }
 BENCHMARK(BM_SimplexWideLp)->Arg(256)->Arg(1024);
 
-/// Raw submit/drain cost of the pool's queues and wakeups.
-void BM_PoolSubmitDrain(benchmark::State& state) {
-  par::ThreadPool pool(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    par::TaskGroup group(pool);
-    for (int i = 0; i < 256; ++i) group.run([] {});
-    group.wait();
-  }
-}
-BENCHMARK(BM_PoolSubmitDrain)->Arg(2)->Arg(4);
-
-/// The speculative B&B against the serial search on a cycle-cover MILP:
-/// same answer by construction, differing only in wall time.
-void BM_BnbCycleCoverThreads(benchmark::State& state) {
+/// Branch & bound on a cycle-cover MILP (branching, warm-started node LPs).
+void BM_BnbCycleCover(benchmark::State& state) {
   const int n = 13;
   milp::Model m;
   std::vector<int> x;
@@ -331,13 +318,11 @@ void BM_BnbCycleCoverThreads(benchmark::State& state) {
     m.add_constraint({{x[i], 1.0}, {x[(i + 1) % n], 1.0}},
                      milp::Sense::kGe, 1.0);
   }
-  par::set_jobs(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(milp::solve(m, milp::BnbOptions{}));
   }
-  par::set_jobs(0);
 }
-BENCHMARK(BM_BnbCycleCoverThreads)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BnbCycleCover)->Unit(benchmark::kMillisecond);
 
 void BM_OffsetClosedRing(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

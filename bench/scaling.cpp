@@ -151,13 +151,6 @@ RingRun run_ring_milp(int n, double time_limit, double lns_budget = 0.0,
   sampler.start();
   ring::RingBuildOptions opt;
   opt.use_milp = true;
-  // The table's subject is the separated formulation: the root LP keeps
-  // only the 2n degree rows (+1 symmetry row); Eq. 2 and Eq. 3 arrive as
-  // cutting planes / lazy rows exactly where they bind.
-  opt.conflict_mode = ring::ConflictMode::kSeparated;
-  // The Or-opt polish lets the warm start reach the root bound on the grid
-  // layouts, which is what keeps the large exact solves single-node.
-  opt.or_opt_polish = true;
   opt.time_limit_seconds = time_limit;
   opt.lns_budget_seconds = lns_budget;
   RingRun out;
@@ -229,9 +222,9 @@ int ring_smoke_budgeted(int n, const char* events_file) {
 }
 
 /// Ring-construction MILP scaling table: n = 32..256 (capped by
-/// `max_ring`), serial vs full-pool solve (speculation only helps
-/// multi-node searches, so the columns also document where the search is
-/// single-node). The dense-inverse kernel is O(m^2) memory — at n=128 that
+/// `max_ring`), solved at jobs = 1 and at jobs = N. The search is serial,
+/// so the two must agree exactly and the speedup column reads ~1x; a
+/// larger gap means pool state leaks into Step 1. The dense-inverse kernel is O(m^2) memory — at n=128 that
 /// basis alone would be ~560 MB — which is why this table only exists with
 /// the sparse LU kernel; the separated formulation (root LP = degree rows
 /// only, Eq. 2/3 as cuts) is what carries it past n=128.

@@ -80,14 +80,11 @@ struct BnbOptions {
 };
 
 /// Solves the model by LP-relaxation branch & bound (best-first search,
-/// most-fractional branching, global lazy-constraint pool). When the global
-/// `par` pool has more than one job (--jobs / XRING_JOBS), one lane per job
-/// speculatively pre-solves the LP relaxations of the best open nodes
-/// (sharing the incumbent through an atomic bound) while the integration
-/// loop consumes them in the exact serial search order. Deterministic: the
-/// same model and options give the same search and the same answer at every
-/// pool size (unless the time limit cuts the search short — wall-clock
-/// stops are inherently machine-dependent).
+/// most-fractional branching, global lazy-constraint pool), serially on the
+/// calling thread. Deterministic: the same model and options give the same
+/// search and the same answer at every --jobs value (unless the time limit
+/// cuts the search short — wall-clock stops are inherently
+/// machine-dependent).
 MipResult solve(const Model& model, const BnbOptions& options = {});
 
 }  // namespace xring::milp

@@ -73,8 +73,7 @@ MetricClass classify_metric(const std::string& name) {
     return MetricClass::kSolverInternal;
   }
   if (name.compare(0, 4, "mem.") == 0 || name.compare(0, 7, "events.") == 0 ||
-      name.compare(0, 4, "par.") == 0 ||
-      name.compare(0, 10, "milp.spec_") == 0) {
+      name.compare(0, 4, "par.") == 0) {
     return MetricClass::kResource;
   }
   if (name.compare(0, 5, "span.") == 0 || has_suffix(name, ".real_time_ns") ||

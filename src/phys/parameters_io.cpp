@@ -1,9 +1,10 @@
 #include "phys/parameters_io.hpp"
 
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 
 namespace xring::phys {
@@ -68,6 +69,27 @@ std::map<std::string, std::function<double&(Parameters&)>> key_table() {
   return keys;
 }
 
+/// Why `v` is out of range for `key`, or nullptr when it is in range.
+const char* range_error(const std::string& key, double v) {
+  const auto starts = [&key](const char* prefix) {
+    return key.rfind(prefix, 0) == 0;
+  };
+  if (key == "loss.laser_wall_plug_efficiency") {
+    return v > 0.0 && v <= 1.0 ? nullptr : "must lie in (0, 1]";
+  }
+  // A sensitivity (dBm) and an SNR threshold (dB) may take any sign.
+  if (key == "loss.receiver_sensitivity_dbm" || key == "crosstalk.snr_warn_db") {
+    return nullptr;
+  }
+  if (starts("loss.") || key == "crosstalk.noise_floor_mw") {
+    return v >= 0.0 ? nullptr : "must not be negative";
+  }
+  // The remaining crosstalk.*_db keys are leaked power fractions.
+  if (starts("crosstalk.")) return v <= 0.0 ? nullptr : "must not be positive";
+  if (starts("geometry.")) return v > 0.0 ? nullptr : "must be positive";
+  return nullptr;
+}
+
 }  // namespace
 
 Parameters read_parameters(std::istream& in, Parameters base) {
@@ -94,21 +116,33 @@ Parameters read_parameters(std::istream& in, Parameters base) {
     };
     const std::string key = trim(line.substr(0, eq));
     const std::string value = trim(line.substr(eq + 1));
+    const auto fail = [&](const std::string& why) {
+      return std::invalid_argument("line " + std::to_string(lineno) + ": " +
+                                   why);
+    };
 
     if (key == "crosstalk.residue_filter") {
+      if (value != "true" && value != "false" && value != "1" &&
+          value != "0") {
+        throw fail("expected true, false, 1 or 0 for '" + key + "', got '" +
+                   value + "'");
+      }
       base.crosstalk.residue_filter = value == "true" || value == "1";
       continue;
     }
     const auto it = keys.find(key);
-    if (it == keys.end()) {
-      throw std::invalid_argument("line " + std::to_string(lineno) +
-                                  ": unknown parameter '" + key + "'");
+    if (it == keys.end()) throw fail("unknown parameter '" + key + "'");
+    // The whole token must be one finite number: "0.5abc" is a typo, not 0.5.
+    char* end = nullptr;
+    const double v = std::strtod(value.c_str(), &end);
+    if (value.empty() || end != value.c_str() + value.size()) {
+      throw fail("non-numeric value for '" + key + "': '" + value + "'");
     }
-    std::istringstream vs(value);
-    double v;
-    if (!(vs >> v)) {
-      throw std::invalid_argument("line " + std::to_string(lineno) +
-                                  ": non-numeric value for '" + key + "'");
+    if (!std::isfinite(v)) {
+      throw fail("non-finite value for '" + key + "': '" + value + "'");
+    }
+    if (const char* why = range_error(key, v)) {
+      throw fail("'" + key + "' " + why + ", got " + value);
     }
     it->second(base) = v;
   }

@@ -17,8 +17,15 @@ namespace xring::phys {
 ///   geometry.modulator_um      = 50
 ///
 /// Unknown keys are an error (typos in loss coefficients silently skew
-/// every result otherwise). Unlisted keys keep their preset values, so a
-/// file only needs the coefficients it changes.
+/// every result otherwise), and so is any value that is not one finite
+/// number ("0.5abc", "inf"), a `crosstalk.residue_filter` other than
+/// true/false/1/0, and a value out of its physical range: a laser
+/// efficiency outside (0, 1], a negative `loss.*` coefficient (the receiver
+/// sensitivity in dBm excepted), a positive crosstalk leak fraction
+/// (`crosstalk.*_db` other than `snr_warn_db`), a negative noise floor and
+/// a non-positive geometry size. Every diagnostic names its line. Unlisted
+/// keys keep their preset values, so a file only needs the coefficients it
+/// changes.
 Parameters read_parameters(std::istream& in, Parameters base = Parameters::oring());
 Parameters load_parameters(const std::string& path,
                            Parameters base = Parameters::oring());

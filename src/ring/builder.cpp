@@ -45,29 +45,16 @@ RingBuildResult build_ring(const netlist::Floorplan& floorplan,
     result.lns_budget_exhausted = search.budget_exhausted;
   } else {
     std::vector<NodeId> heuristic = heuristic_tour(floorplan, oracle);
-    if (options.or_opt_polish) {
-      // Alternate to a joint fixpoint: each pass opens moves for the other.
-      geom::Coord before;
-      do {
-        before = tour_length(heuristic, floorplan) +
-                 HeuristicOptions{}.conflict_penalty *
-                     tour_conflicts(heuristic, oracle);
-        or_opt(heuristic, floorplan, oracle);
-        two_opt(heuristic, floorplan, oracle);
-      } while (tour_length(heuristic, floorplan) +
-                   HeuristicOptions{}.conflict_penalty *
-                       tour_conflicts(heuristic, oracle) <
-               before);
-    }
+    polish_tour(heuristic, floorplan, oracle);
     tour_order = heuristic;
     if (options.use_milp) {
-      TspModel tsp(floorplan, oracle, options.conflict_mode);
-      if (options.symmetry_breaking) tsp.add_symmetry_breaking(heuristic);
+      TspModel tsp(floorplan, oracle);
+      tsp.add_symmetry_breaking(heuristic);
 
       milp::BnbOptions bnb;
       bnb.time_limit_seconds = options.time_limit_seconds;
       bnb.lazy_handler = tsp.lazy_handler();
-      if (options.cutting_planes) bnb.cut_separator = tsp.cut_separator();
+      bnb.cut_separator = tsp.cut_separator();
       // Seed the incumbent only when the heuristic tour is itself legal; a
       // conflicted warm start would be rejected by the solver's vetting
       // anyway.

@@ -8,26 +8,10 @@ namespace xring::ring {
 
 /// Knobs for Step 1.
 struct RingBuildOptions {
-  ConflictMode conflict_mode = ConflictMode::kLazy;
   /// When false the MILP is skipped and the conflict-aware heuristic tour is
   /// used directly (the `ablation_features` bench compares both).
   bool use_milp = true;
   double time_limit_seconds = 30.0;
-  /// Add the reflective symmetry-breaking row (TspModel::add_symmetry_
-  /// breaking), oriented by the heuristic tour so the warm start stays
-  /// feasible.
-  bool symmetry_breaking = true;
-  /// Separate cutting planes from fractional LP points (2-cycle rows in
-  /// kSeparated mode plus fractional conflict rows; see
-  /// TspModel::cut_separator).
-  bool cutting_planes = true;
-  /// Run the Or-opt relocation polish on top of the heuristic tour before
-  /// it seeds (and competes with) the exact MILP. Off by default: the
-  /// paper-size baselines pin the historical heuristic move sequence; the
-  /// scaling bench turns it on, where reaching the MILP bound with the
-  /// warm start is what makes n >= 192 a root solve. The budgeted LNS mode
-  /// always polishes with Or-opt regardless of this flag.
-  bool or_opt_polish = false;
   /// > 0 switches Step 1 to the time-budgeted LNS mode: no exact full-size
   /// MILP, instead a destroy/repair search whose repairs are exact MILPs on
   /// sub-neighbourhoods (heuristic.hpp lns_tour), reported with a certified
@@ -64,12 +48,13 @@ struct RingBuildResult {
   double seconds = 0.0;
 };
 
-/// Runs the paper's Step 1 end to end: build the modified-TSP MILP, warm
-/// start it with the conflict-aware heuristic, solve, merge sub-cycles, and
-/// realize the tour as rectilinear geometry. Falls back to the heuristic
-/// tour if the solver finds nothing within its budget. With
-/// `lns_budget_seconds > 0` the exact solve is replaced by the budgeted
-/// LNS (see RingBuildOptions).
+/// Runs the paper's Step 1 end to end: build the modified-TSP MILP (with
+/// the reflective symmetry-breaking row oriented by the warm start), warm
+/// start it with the conflict-aware heuristic polished to a 2-opt/Or-opt
+/// fixpoint, solve, merge sub-cycles, and realize the tour as rectilinear
+/// geometry. Falls back to the heuristic tour if the solver finds nothing
+/// within its budget. With `lns_budget_seconds > 0` the exact solve is
+/// replaced by the budgeted LNS (see RingBuildOptions).
 RingBuildResult build_ring(const netlist::Floorplan& floorplan,
                            const ConflictOracle& oracle,
                            const RingBuildOptions& options = {});

@@ -236,6 +236,18 @@ void or_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
   }
 }
 
+void polish_tour(std::vector<NodeId>& order,
+                 const netlist::Floorplan& floorplan,
+                 const ConflictOracle& oracle,
+                 const HeuristicOptions& options) {
+  geom::Coord before;
+  do {
+    before = penalized_cost(order, floorplan, oracle, options);
+    two_opt(order, floorplan, oracle, options);
+    or_opt(order, floorplan, oracle, options);
+  } while (penalized_cost(order, floorplan, oracle, options) < before);
+}
+
 std::vector<NodeId> heuristic_tour(const netlist::Floorplan& floorplan,
                                    const ConflictOracle& oracle,
                                    const HeuristicOptions& options) {
@@ -447,18 +459,9 @@ LnsResult lns_tour(const netlist::Floorplan& floorplan,
   LnsResult out;
   // Cheap initial incumbent: one nearest-neighbour construction polished to
   // a joint 2-opt/Or-opt fixpoint (the all-starts heuristic_tour is
-  // quadratic in restarts and defeats the point of a budgeted mode; Or-opt
-  // supplies the relocation moves 2-opt lacks — see or_opt).
+  // quadratic in restarts and defeats the point of a budgeted mode).
   out.order = nearest_neighbour_from(floorplan, 0);
-  const auto polish = [&](std::vector<NodeId>& order) {
-    geom::Coord before;
-    do {
-      before = penalized_cost(order, floorplan, oracle, heuristic);
-      two_opt(order, floorplan, oracle, heuristic);
-      or_opt(order, floorplan, oracle, heuristic);
-    } while (penalized_cost(order, floorplan, oracle, heuristic) < before);
-  };
-  polish(out.order);
+  polish_tour(out.order, floorplan, oracle, heuristic);
   out.length_um = tour_length(out.order, floorplan);
   long long conflicts = tour_conflicts(out.order, oracle);
 
@@ -501,7 +504,7 @@ LnsResult lns_tour(const netlist::Floorplan& floorplan,
   }
   // A final polish pass: repairs can open 2-opt/Or-opt improvements across
   // window boundaries.
-  polish(out.order);
+  polish_tour(out.order, floorplan, oracle, heuristic);
   out.length_um = tour_length(out.order, floorplan);
   conflicts = tour_conflicts(out.order, oracle);
   out.conflicts = static_cast<int>(conflicts);

@@ -41,10 +41,18 @@ void two_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
 /// converges (a node stranded far from its tour neighbours) are exactly the
 /// relocations this pass makes. Deliberately NOT part of heuristic_tour /
 /// two_opt (their move sequences are pinned by the quality baselines);
-/// callers that want the stronger polish — the budgeted LNS always, the
-/// exact path behind RingBuildOptions::or_opt_polish — invoke it on top.
+/// polish_tour runs it on top.
 void or_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
             const ConflictOracle& oracle, const HeuristicOptions& options = {});
+
+/// In-place joint 2-opt/Or-opt fixpoint on the penalized cost: alternates
+/// two_opt and or_opt until a full pass no longer improves, since each pass
+/// opens moves for the other. Polishes the warm start of the exact Step 1
+/// (build_ring) and the incumbent of the budgeted LNS (lns_tour).
+void polish_tour(std::vector<NodeId>& order,
+                 const netlist::Floorplan& floorplan,
+                 const ConflictOracle& oracle,
+                 const HeuristicOptions& options = {});
 
 /// Total Manhattan length of a tour (closing edge included), micrometres.
 geom::Coord tour_length(const std::vector<NodeId>& order,

@@ -5,8 +5,8 @@
 namespace xring::ring {
 
 TspModel::TspModel(const netlist::Floorplan& floorplan,
-                   const ConflictOracle& oracle, ConflictMode mode)
-    : oracle_(&oracle), edges_(floorplan.size()), mode_(mode) {
+                   const ConflictOracle& oracle)
+    : oracle_(&oracle), edges_(floorplan.size()) {
   const int n = floorplan.size();
 
   // One binary per directed edge; the objective coefficient is the edge's
@@ -29,41 +29,6 @@ TspModel::TspModel(const netlist::Floorplan& floorplan,
     }
     model_.add_constraint(std::move(out_terms), milp::Sense::kEq, 1.0);
     model_.add_constraint(std::move(in_terms), milp::Sense::kEq, 1.0);
-  }
-
-  // Eq. 2: no 2-cycles. In kSeparated mode these n(n-1)/2 rows — the bulk
-  // of the root LP at large N — are left out and recovered on demand: as
-  // cutting planes where the relaxation violates them (cut_separator) and
-  // as lazy rows where an integer candidate does (lazy_handler).
-  if (mode_ != ConflictMode::kSeparated) {
-    for (NodeId i = 0; i < n; ++i) {
-      for (NodeId j = i + 1; j < n; ++j) {
-        model_.add_constraint(
-            {{edges_.index(i, j), 1.0}, {edges_.index(j, i), 1.0}},
-            milp::Sense::kLe, 1.0);
-      }
-    }
-  }
-
-  // Eq. 3 up front only in exhaustive mode. A conflict depends only on the
-  // unordered endpoint pairs, so one row covers all four directed
-  // combinations via the sum of both directions of each edge.
-  if (mode_ == ConflictMode::kExhaustive) {
-    for (NodeId a1 = 0; a1 < n; ++a1) {
-      for (NodeId a2 = a1 + 1; a2 < n; ++a2) {
-        for (NodeId b1 = a1; b1 < n; ++b1) {
-          for (NodeId b2 = b1 + 1; b2 < n; ++b2) {
-            if (std::make_pair(b1, b2) <= std::make_pair(a1, a2)) continue;
-            if (!oracle.conflict(a1, a2, b1, b2)) continue;
-            model_.add_constraint({{edges_.index(a1, a2), 1.0},
-                                   {edges_.index(a2, a1), 1.0},
-                                   {edges_.index(b1, b2), 1.0},
-                                   {edges_.index(b2, b1), 1.0}},
-                                  milp::Sense::kLe, 1.0);
-          }
-        }
-      }
-    }
   }
 }
 
@@ -95,29 +60,24 @@ void TspModel::add_symmetry_breaking(const std::vector<NodeId>& reference) {
 }
 
 milp::LazyConstraintHandler TspModel::lazy_handler() const {
-  if (mode_ == ConflictMode::kExhaustive) return nullptr;
   const ConflictOracle* oracle = oracle_;
   const EdgeSpace edges = edges_;
-  const bool two_cycles = (mode_ == ConflictMode::kSeparated);
-  return [oracle, edges, two_cycles](const std::vector<double>& x) {
-    // Collect the selected directed edges and emit an Eq. 3 row for every
-    // conflicting pair among them.
+  return [oracle, edges](const std::vector<double>& x) {
+    // Collect the selected directed edges, reject any selected 2-cycle
+    // (Eq. 2) and emit an Eq. 3 row for every conflicting pair among them.
     std::vector<int> picked;
     for (int e = 0; e < edges.count(); ++e) {
       if (x[e] > 0.5) picked.push_back(e);
     }
     std::vector<milp::Constraint> cuts;
-    if (two_cycles) {
-      // Eq. 2 is not in the root model: reject any selected 2-cycle.
-      for (int e : picked) {
-        const int r = edges.reverse(e);
-        if (r > e && x[r] > 0.5) {
-          milp::Constraint c;
-          c.terms = {{e, 1.0}, {r, 1.0}};
-          c.sense = milp::Sense::kLe;
-          c.rhs = 1.0;
-          cuts.push_back(std::move(c));
-        }
+    for (int e : picked) {
+      const int r = edges.reverse(e);
+      if (r > e && x[r] > 0.5) {
+        milp::Constraint c;
+        c.terms = {{e, 1.0}, {r, 1.0}};
+        c.sense = milp::Sense::kLe;
+        c.rhs = 1.0;
+        cuts.push_back(std::move(c));
       }
     }
     for (std::size_t i = 0; i < picked.size(); ++i) {
@@ -140,31 +100,27 @@ milp::LazyConstraintHandler TspModel::lazy_handler() const {
 }
 
 milp::CutSeparator TspModel::cut_separator() const {
-  if (mode_ == ConflictMode::kExhaustive) return nullptr;
   const ConflictOracle* oracle = oracle_;
   const EdgeSpace edges = edges_;
-  const bool two_cycles = (mode_ == ConflictMode::kSeparated);
-  return [oracle, edges, two_cycles](const std::vector<double>& x) {
+  return [oracle, edges](const std::vector<double>& x) {
     constexpr double kMinViolation = 1e-4;
     constexpr int kMaxCuts = 64;
     const int n = edges.nodes();
     std::vector<milp::Constraint> cuts;
 
-    // Violated Eq. 2 rows (kSeparated only; in kLazy they are all present).
-    if (two_cycles) {
-      for (NodeId i = 0; i < n && static_cast<int>(cuts.size()) < kMaxCuts;
-           ++i) {
-        for (NodeId j = i + 1; j < n; ++j) {
-          const int e = edges.index(i, j);
-          const int r = edges.index(j, i);
-          if (x[e] + x[r] <= 1.0 + kMinViolation) continue;
-          milp::Constraint c;
-          c.terms = {{e, 1.0}, {r, 1.0}};
-          c.sense = milp::Sense::kLe;
-          c.rhs = 1.0;
-          cuts.push_back(std::move(c));
-          if (static_cast<int>(cuts.size()) >= kMaxCuts) break;
-        }
+    // Violated Eq. 2 rows.
+    for (NodeId i = 0; i < n && static_cast<int>(cuts.size()) < kMaxCuts;
+         ++i) {
+      for (NodeId j = i + 1; j < n; ++j) {
+        const int e = edges.index(i, j);
+        const int r = edges.index(j, i);
+        if (x[e] + x[r] <= 1.0 + kMinViolation) continue;
+        milp::Constraint c;
+        c.terms = {{e, 1.0}, {r, 1.0}};
+        c.sense = milp::Sense::kLe;
+        c.rhs = 1.0;
+        cuts.push_back(std::move(c));
+        if (static_cast<int>(cuts.size()) >= kMaxCuts) break;
       }
     }
 

@@ -6,25 +6,6 @@
 
 namespace xring::ring {
 
-/// How the waveguide-crossing conflict constraints (paper Eq. 3) enter the
-/// MILP.
-enum class ConflictMode {
-  /// Paper-literal: one row per conflicting pair, materialized up front.
-  /// O(|E|^2) rows; used for small N and for cross-checking.
-  kExhaustive,
-  /// One row per conflicting pair actually violated by a candidate integer
-  /// solution, added through the branch & bound's lazy-constraint callback.
-  /// Reaches the same optimum with far smaller LPs (see DESIGN.md).
-  kLazy,
-  /// kLazy, plus the anti-2-cycle rows (Eq. 2) are *also* dropped from the
-  /// root model: violated ones are separated as cutting planes from
-  /// fractional LP points (cut_separator()) and enforced at integer points
-  /// through the lazy handler. This removes the n(n-1)/2-row wall that
-  /// dominates the root LP at large N; the optimum is unchanged because
-  /// every dropped row is restored exactly where it binds.
-  kSeparated,
-};
-
 /// The paper's modified-TSP MILP (Sec. III-A):
 ///  * binary b_e per directed edge e,
 ///  * in/out degree exactly 1 per vertex        (Eq. 1),
@@ -33,10 +14,18 @@ enum class ConflictMode {
 ///  * minimize total Manhattan length           (Eq. 4).
 /// Connectivity is deliberately *not* modelled; sub-cycles in the optimum
 /// are merged afterwards by the paper's heuristic (subcycle.hpp).
+///
+/// Only the 2n degree rows (Eq. 1) are materialized. Eq. 2 and Eq. 3 —
+/// n(n-1)/2 and O(|E|^2) rows, the bulk of a paper-literal root LP — are
+/// recovered exactly where they bind: as cutting planes where a fractional
+/// relaxation violates them (cut_separator) and as lazy rows where an
+/// integer candidate does (lazy_handler). Every recovered row is a row of
+/// the paper's exhaustive formulation, so the optimum is unchanged; the
+/// tests solve that formulation (tests/oracle/tsp_reference.hpp) as the
+/// reference.
 class TspModel {
  public:
-  TspModel(const netlist::Floorplan& floorplan, const ConflictOracle& oracle,
-           ConflictMode mode);
+  TspModel(const netlist::Floorplan& floorplan, const ConflictOracle& oracle);
 
   const milp::Model& model() const { return model_; }
   const EdgeSpace& edges() const { return edges_; }
@@ -54,18 +43,15 @@ class TspModel {
   /// No-op for fewer than 3 nodes.
   void add_symmetry_breaking(const std::vector<NodeId>& reference);
 
-  /// Lazy handler enforcing the rows not materialized up front: Eq. 3 rows
-  /// violated by a candidate integer selection (kLazy, kSeparated) and
-  /// Eq. 2 rows for selected 2-cycles (kSeparated). Null in kExhaustive
-  /// mode.
+  /// Lazy handler enforcing the rows not materialized up front on a
+  /// candidate integer selection: Eq. 2 rows for selected 2-cycles and
+  /// Eq. 3 rows for selected conflicting pairs.
   milp::LazyConstraintHandler lazy_handler() const;
 
   /// Cutting-plane separator for fractional LP points (see
-  /// milp::CutSeparator): violated Eq. 2 rows (kSeparated only — in kLazy
-  /// they are all in the root model) and Eq. 3 conflict rows whose
+  /// milp::CutSeparator): violated Eq. 2 rows and Eq. 3 conflict rows whose
   /// undirected-edge LP mass exceeds 1. All returned rows are rows of the
-  /// paper's exhaustive formulation, hence globally valid. Null in
-  /// kExhaustive mode (nothing is missing from the root model).
+  /// paper's exhaustive formulation, hence globally valid.
   milp::CutSeparator cut_separator() const;
 
   /// Converts a tour (cyclic node order) into a b_e assignment usable as a
@@ -80,7 +66,6 @@ class TspModel {
   const ConflictOracle* oracle_;
   EdgeSpace edges_;
   milp::Model model_;
-  ConflictMode mode_;
 };
 
 }  // namespace xring::ring

@@ -1,6 +1,8 @@
 #include "xring/sweep.hpp"
 
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -34,10 +36,18 @@ bool better(SweepGoal goal, const analysis::RouterMetrics& a,
   return false;
 }
 
+void check_min_wl(int min_wl) {
+  if (min_wl < 1) {
+    throw std::invalid_argument("sweep: min_wl must be at least 1, got " +
+                                std::to_string(min_wl));
+  }
+}
+
 }  // namespace
 
 SweepResult sweep(const SynthesisAtWl& synthesize, SweepGoal goal, int min_wl,
                   int max_wl) {
+  check_min_wl(min_wl);
   obs::Span span("sweep");
   SweepResult out;
   if (max_wl < min_wl) return out;
@@ -81,6 +91,7 @@ SweepResult sweep(const SynthesisAtWl& synthesize, SweepGoal goal, int min_wl,
 SweepResult sweep_xring(const Synthesizer& synthesizer,
                         const SynthesisOptions& base, SweepGoal goal,
                         int min_wl, int max_wl) {
+  check_min_wl(min_wl);
   obs::Span span("sweep_xring");
   const ring::RingBuildResult ring =
       ring::build_ring(synthesizer.floorplan(), synthesizer.oracle(), base.ring);

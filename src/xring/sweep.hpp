@@ -29,7 +29,8 @@ struct SweepResult {
 };
 
 /// Tries every #wl in [min_wl, max_wl] and keeps the best setting for the
-/// goal. Ties go to the smaller #wl (cheaper laser bank).
+/// goal. Ties go to the smaller #wl (cheaper laser bank). Throws
+/// std::invalid_argument when min_wl < 1.
 ///
 /// Settings are evaluated concurrently on the global `par` pool (--jobs /
 /// XRING_JOBS); the winner is then chosen by a serial ordered reduction over

@@ -1,13 +1,31 @@
 #include "xring/synthesizer.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "obs/obs.hpp"
 
 namespace xring {
+
+namespace {
+
+/// A wavelength cap below one has no mapping (and used to divide by zero
+/// in Step 3); reject it before any step runs.
+void check_wavelength_cap(const SynthesisOptions& options) {
+  if (options.mapping.max_wavelengths < 1) {
+    throw std::invalid_argument(
+        "wavelength cap must be at least 1, got " +
+        std::to_string(options.mapping.max_wavelengths));
+  }
+}
+
+}  // namespace
 
 Synthesizer::Synthesizer(const netlist::Floorplan& floorplan)
     : floorplan_(&floorplan) {}
 
 SynthesisResult Synthesizer::run(const SynthesisOptions& options) const {
+  check_wavelength_cap(options);
   obs::Span root("synth");
   const ring::RingBuildResult ring =
       ring::build_ring(*floorplan_, oracle(), options.ring);
@@ -22,6 +40,7 @@ SynthesisResult Synthesizer::run(const SynthesisOptions& options) const {
 SynthesisResult Synthesizer::run_with_ring(const SynthesisOptions& options,
                                            const ring::RingBuildResult& ring,
                                            const SweepCache* cache) const {
+  check_wavelength_cap(options);
   obs::Span root("synth");
   SynthesisResult out = synthesize_from_ring(options, ring, cache);
   // The ring (and the sweep cache, when given) was prebuilt outside this

@@ -75,6 +75,8 @@ class Synthesizer {
  public:
   explicit Synthesizer(const netlist::Floorplan& floorplan);
 
+  /// Both entry points throw std::invalid_argument when
+  /// `options.mapping.max_wavelengths` < 1.
   SynthesisResult run(const SynthesisOptions& options = {}) const;
 
   /// Step 1 is independent of #wl settings; callers sweeping #wl reuse one

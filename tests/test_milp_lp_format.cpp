@@ -40,11 +40,11 @@ TEST(LpFormat, MinimizationAndInfiniteBounds) {
 }
 
 TEST(LpFormat, RingTspModelDumpsCompletely) {
-  // The real Step 1 model: every directed edge variable and every degree /
-  // anti-2-cycle row must appear.
+  // The real Step 1 model: every directed edge variable and every degree
+  // row must appear.
   const auto fp = netlist::Floorplan::standard(8);
   const ring::ConflictOracle oracle(fp);
-  const ring::TspModel tsp(fp, oracle, ring::ConflictMode::kExhaustive);
+  const ring::TspModel tsp(fp, oracle);
   const std::string lp = to_lp_format(tsp.model(), "ring_tsp_8");
   EXPECT_NE(lp.find("ring_tsp_8"), std::string::npos);
   // 8 * 7 = 56 binaries declared.

@@ -1,5 +1,5 @@
 // Scale machinery of the ring-construction MILP: presolve/postsolve
-// round-trips, the separated (cutting-plane) conflict mode, reflective
+// round-trips, the separated (cutting-plane) production model, reflective
 // symmetry breaking, cover-cut validity, and the budgeted LNS — each pinned
 // against the exhaustive paper-literal formulation or an exact reference
 // implementation.
@@ -14,6 +14,7 @@
 #include "milp/cuts.hpp"
 #include "milp/presolve.hpp"
 #include "netlist/floorplan.hpp"
+#include "oracle/tsp_reference.hpp"
 #include "ring/builder.hpp"
 #include "ring/heuristic.hpp"
 #include "ring/tsp_model.hpp"
@@ -188,11 +189,12 @@ TEST(Cuts, CoverCutsValidForAllIntegerFeasiblePoints) {
 }
 
 // ---------------------------------------------------------------------------
-// Conflict-mode equivalence and symmetry breaking
+// The production model against the exhaustive oracle, and symmetry breaking
 
+/// Solves the production (separated) model, warm-started like build_ring.
 milp::MipResult solve_tsp(const Floorplan& fp, const ring::ConflictOracle& oracle,
-                          ring::ConflictMode mode, bool symmetry) {
-  ring::TspModel tsp(fp, oracle, mode);
+                          bool symmetry) {
+  ring::TspModel tsp(fp, oracle);
   const std::vector<NodeId> heuristic = ring::heuristic_tour(fp, oracle);
   if (symmetry) tsp.add_symmetry_breaking(heuristic);
   milp::BnbOptions bnb;
@@ -205,7 +207,16 @@ milp::MipResult solve_tsp(const Floorplan& fp, const ring::ConflictOracle& oracl
   return milp::solve(tsp.model(), bnb);
 }
 
-TEST(ConflictModes, AllThreeModesAgreeOnTheOptimum) {
+/// Solves the paper-literal exhaustive formulation (every Eq. 2/Eq. 3 row
+/// up front, no callbacks, no warm start).
+milp::MipResult solve_exhaustive(const Floorplan& fp,
+                                 const ring::ConflictOracle& oracle) {
+  milp::BnbOptions bnb;
+  bnb.time_limit_seconds = 60.0;
+  return milp::solve(ring::reference::exhaustive_tsp_model(fp, oracle), bnb);
+}
+
+TEST(TspModel, MatchesTheExhaustiveOracleOnTheOptimum) {
   std::vector<Floorplan> layouts;
   layouts.push_back(Floorplan::standard(8));
   layouts.push_back(Floorplan::standard(16));
@@ -213,19 +224,22 @@ TEST(ConflictModes, AllThreeModesAgreeOnTheOptimum) {
   for (unsigned seed = 1; seed <= 3; ++seed) {
     layouts.push_back(random_floorplan(10, seed));
   }
+  // Seeded irregular layouts where the relaxation branches.
+  for (const int n : {11, 12, 13, 14}) {
+    layouts.push_back(random_floorplan(n, 20 + n));
+  }
   for (const Floorplan& fp : layouts) {
+    SCOPED_TRACE(fp.size());
     const ring::ConflictOracle oracle(fp);
-    const milp::MipResult ex =
-        solve_tsp(fp, oracle, ring::ConflictMode::kExhaustive, false);
-    const milp::MipResult lazy =
-        solve_tsp(fp, oracle, ring::ConflictMode::kLazy, false);
-    const milp::MipResult sep =
-        solve_tsp(fp, oracle, ring::ConflictMode::kSeparated, false);
+    const milp::MipResult ex = solve_exhaustive(fp, oracle);
+    const milp::MipResult plain = solve_tsp(fp, oracle, false);
+    const milp::MipResult broken = solve_tsp(fp, oracle, true);
     ASSERT_EQ(ex.status, milp::MipStatus::kOptimal);
-    ASSERT_EQ(lazy.status, milp::MipStatus::kOptimal);
-    ASSERT_EQ(sep.status, milp::MipStatus::kOptimal);
-    EXPECT_NEAR(lazy.objective, ex.objective, 1e-9);
-    EXPECT_NEAR(sep.objective, ex.objective, 1e-9);
+    ASSERT_EQ(plain.status, milp::MipStatus::kOptimal);
+    ASSERT_EQ(broken.status, milp::MipStatus::kOptimal);
+    EXPECT_NEAR(plain.objective, ex.objective, 1e-9);
+    EXPECT_NEAR(broken.objective, ex.objective, 1e-9);
+    EXPECT_NEAR(broken.best_bound, ex.best_bound, 1e-6);
   }
 }
 
@@ -237,10 +251,8 @@ TEST(Symmetry, BreakingPreservesTheTourExactly) {
   for (const int n : {8, 16, 32}) {
     const Floorplan fp = Floorplan::standard(n);
     const ring::ConflictOracle oracle(fp);
-    const milp::MipResult plain =
-        solve_tsp(fp, oracle, ring::ConflictMode::kLazy, false);
-    const milp::MipResult broken =
-        solve_tsp(fp, oracle, ring::ConflictMode::kLazy, true);
+    const milp::MipResult plain = solve_tsp(fp, oracle, false);
+    const milp::MipResult broken = solve_tsp(fp, oracle, true);
     ASSERT_EQ(plain.status, milp::MipStatus::kOptimal);
     ASSERT_EQ(broken.status, milp::MipStatus::kOptimal);
     EXPECT_NEAR(broken.objective, plain.objective, 1e-9);
@@ -253,7 +265,7 @@ TEST(Symmetry, RejectsTheReversedWarmStart) {
   // infeasible: warm-starting with it, the solver may not return it.
   const Floorplan fp = Floorplan::standard(8);
   const ring::ConflictOracle oracle(fp);
-  ring::TspModel tsp(fp, oracle, ring::ConflictMode::kLazy);
+  ring::TspModel tsp(fp, oracle);
   const std::vector<NodeId> heuristic = ring::heuristic_tour(fp, oracle);
   tsp.add_symmetry_breaking(heuristic);
   std::vector<NodeId> reversed(heuristic.rbegin(), heuristic.rend());
@@ -264,9 +276,7 @@ TEST(Symmetry, RejectsTheReversedWarmStart) {
   ASSERT_EQ(r.status, milp::MipStatus::kOptimal);
   EXPECT_NE(r.x, *bnb.warm_start);
   // ... but the un-reversed optimum is still reachable at the same length.
-  EXPECT_NEAR(r.objective,
-              solve_tsp(fp, oracle, ring::ConflictMode::kLazy, false).objective,
-              1e-9);
+  EXPECT_NEAR(r.objective, solve_tsp(fp, oracle, false).objective, 1e-9);
 }
 
 TEST(TspCuts, SeparatorRowsHoldOnTheExhaustiveOptimum) {
@@ -274,9 +284,8 @@ TEST(TspCuts, SeparatorRowsHoldOnTheExhaustiveOptimum) {
   // optimum (they are rows of the exhaustive formulation).
   const Floorplan fp = random_floorplan(9, 7);
   const ring::ConflictOracle oracle(fp);
-  ring::TspModel tsp(fp, oracle, ring::ConflictMode::kSeparated);
-  const milp::MipResult opt =
-      solve_tsp(fp, oracle, ring::ConflictMode::kExhaustive, false);
+  ring::TspModel tsp(fp, oracle);
+  const milp::MipResult opt = solve_exhaustive(fp, oracle);
   ASSERT_EQ(opt.status, milp::MipStatus::kOptimal);
 
   // A synthetic fractional point: the optimum diluted plus mass on a
@@ -293,6 +302,68 @@ TEST(TspCuts, SeparatorRowsHoldOnTheExhaustiveOptimum) {
       EXPECT_GE(lhs, c.rhs - 1e-9);
     }
   }
+}
+
+TEST(TspLazy, RejectsSelectedTwoCyclesAndConflictingPairs) {
+  // The lazy handler is the only place an integer candidate meets Eq. 2 and
+  // Eq. 3 (on the oracle comparisons above the optimum rarely selects a
+  // conflicting pair, so they cannot tell). Feed it a selection holding one
+  // conflicting edge pair and one 2-cycle: it must return both rows, each
+  // violated by the selection, and nothing for a conflict-free tour.
+  const Floorplan fp = random_floorplan(12, 3);
+  const ring::ConflictOracle oracle(fp);
+  const ring::EdgeSpace edges(fp.size());
+  const int n = fp.size();
+  int a1 = -1, a2 = -1, b1 = -1, b2 = -1;
+  for (int p = 0; p < n && a1 < 0; ++p) {
+    for (int q = p + 1; q < n && a1 < 0; ++q) {
+      for (int r = 0; r < n && a1 < 0; ++r) {
+        for (int t = r + 1; t < n && a1 < 0; ++t) {
+          if (r == p || r == q || t == p || t == q) continue;
+          if (oracle.conflict(p, q, r, t)) a1 = p, a2 = q, b1 = r, b2 = t;
+        }
+      }
+    }
+  }
+  ASSERT_GE(a1, 0) << "no conflicting edge pair in the layout";
+  int u = 0;
+  while (u == a1 || u == a2 || u == b1 || u == b2) ++u;
+  int v = u + 1;
+  while (v == a1 || v == a2 || v == b1 || v == b2) ++v;
+
+  std::vector<double> x(edges.count(), 0.0);
+  x[edges.index(a1, a2)] = 1.0;
+  x[edges.index(b2, b1)] = 1.0;
+  x[edges.index(u, v)] = 1.0;
+  x[edges.index(v, u)] = 1.0;
+  ring::TspModel tsp(fp, oracle);
+  const std::vector<milp::Constraint> rows = tsp.lazy_handler()(x);
+
+  const auto vars = [](const milp::Constraint& c) {
+    std::vector<int> out;
+    for (const auto& [var, coef] : c.terms) out.push_back(var);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  std::vector<int> two_cycle = {edges.index(u, v), edges.index(v, u)};
+  std::vector<int> conflict = {edges.index(a1, a2), edges.index(a2, a1),
+                               edges.index(b1, b2), edges.index(b2, b1)};
+  std::sort(two_cycle.begin(), two_cycle.end());
+  std::sort(conflict.begin(), conflict.end());
+  bool saw_two_cycle = false, saw_conflict = false;
+  for (const milp::Constraint& c : rows) {
+    double lhs = 0.0;
+    for (const auto& [var, coef] : c.terms) lhs += coef * x[var];
+    EXPECT_GT(lhs, c.rhs + 1e-9);  // every returned row cuts the candidate
+    saw_two_cycle = saw_two_cycle || vars(c) == two_cycle;
+    saw_conflict = saw_conflict || vars(c) == conflict;
+  }
+  EXPECT_TRUE(saw_two_cycle);
+  EXPECT_TRUE(saw_conflict);
+
+  const std::vector<NodeId> tour = ring::heuristic_tour(fp, oracle);
+  ASSERT_EQ(ring::tour_conflicts(tour, oracle), 0);
+  EXPECT_TRUE(tsp.lazy_handler()(tsp.warm_start_from(tour)).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -405,10 +476,7 @@ TEST(Builder, BudgetedModeReportsACertifiedGap) {
 
 TEST(Builder, ExactModeGapIsZeroAtTheProvenOptimum) {
   const Floorplan fp = Floorplan::standard(16);
-  ring::RingBuildOptions opt;
-  opt.conflict_mode = ring::ConflictMode::kSeparated;
-  opt.or_opt_polish = true;
-  const ring::RingBuildResult r = ring::build_ring(fp, opt);
+  const ring::RingBuildResult r = ring::build_ring(fp);
   ASSERT_EQ(r.mip_status, milp::MipStatus::kOptimal);
   EXPECT_GE(r.lower_bound_um, ring::tour_lower_bound(fp));
   if (r.subcycles_before_merge == 1) {

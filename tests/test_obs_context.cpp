@@ -1,6 +1,6 @@
 // Scoped observability contexts: accessor routing and nesting, span/clock
 // pinning across context switches, propagation through the shared thread
-// pool (parallel_for, TaskGroup, nested loops, help-while-waiting), and the
+// pool (parallel_for, nested loops, help-while-waiting), and the
 // headline isolation guarantee — two concurrent syntheses on one pool
 // record per-context metrics identical to the same synthesis run alone.
 
@@ -140,19 +140,15 @@ TEST_F(ContextPool, ParallelForRecordsIntoSubmittersContext) {
   EXPECT_EQ(root_.counters().count("iters"), 0u);
 }
 
-TEST_F(ContextPool, NestedParallelismAndTaskGroupsPropagate) {
+TEST_F(ContextPool, NestedParallelForPropagates) {
   par::set_jobs(4);
   Context ctx;
   {
     ScopedContext scope(ctx);
-    par::TaskGroup group(par::global_pool());
-    for (int t = 0; t < 4; ++t) {
-      group.run([] {
-        par::parallel_for(par::global_pool(), 0, 25,
-                          [](long) { registry().counter("nested").add(); });
-      });
-    }
-    group.wait();
+    par::parallel_for(par::global_pool(), 0, 4, [](long) {
+      par::parallel_for(par::global_pool(), 0, 25,
+                        [](long) { registry().counter("nested").add(); });
+    });
   }
   EXPECT_EQ(ctx.registry().counters().at("nested"), 4 * 25);
   EXPECT_EQ(root_.counters().count("nested"), 0u);
@@ -266,8 +262,8 @@ TEST_F(ContextRouting, AllocationDeltasChargeTheInstalledContextsSpan) {
 /// The per-context metric view the repo's own CI gates exactly (rel
 /// tolerance 0): quality-class keys of the lp/mapping/milp/ring
 /// subsystems. Solver-internal trajectory counters, scheduling telemetry
-/// (`par.*`, `milp.spec_*`), and time-like keys are excluded — the same
-/// exclusions bench_compare applies.
+/// (`par.*`), and time-like keys are excluded — the same exclusions
+/// bench_compare applies.
 std::map<std::string, double> quality_view(
     const std::map<std::string, double>& flat) {
   std::map<std::string, double> out;

@@ -1,7 +1,7 @@
 // The parallel execution substrate: thread-pool mechanics (work stealing,
 // exception propagation, nesting, degenerate ranges) and — the property the
 // whole design hangs on — bit-identical results from the parallel sweep and
-// the speculative MILP search at 1, 2, and 8 threads.
+// the (serial) MILP search at 1, 2, and 8 threads.
 
 #include <gtest/gtest.h>
 
@@ -68,22 +68,6 @@ TEST(ParallelFor, NestedLoopsComplete) {
   EXPECT_EQ(total.load(), 8 * 64);
 }
 
-TEST(TaskGroup, WaitResolvesAllTasksAndRethrows) {
-  par::ThreadPool pool(4);
-  {
-    par::TaskGroup group(pool);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 64; ++i) group.run([&] { ran.fetch_add(1); });
-    group.wait();
-    EXPECT_EQ(ran.load(), 64);
-  }
-  {
-    par::TaskGroup group(pool);
-    group.run([] { throw std::runtime_error("task failure"); });
-    EXPECT_THROW(group.wait(), std::runtime_error);
-  }
-}
-
 TEST(Jobs, ResolutionOrderAndGlobalPoolResize) {
   par::set_jobs(3);
   EXPECT_EQ(par::effective_jobs(), 3);
@@ -139,7 +123,8 @@ TEST(Determinism, SweepIdenticalAt128Threads) {
 
 TEST(Determinism, MilpSearchIdenticalAt128Threads) {
   // Cycle cover with a lazy handler bolted on: exercises branching, lazy
-  // rounds (snapshot invalidation), and incumbent pruning.
+  // rounds and incumbent pruning. The search is serial, so the pool size
+  // must not reach it.
   const int n = 13;
   milp::Model m;
   std::vector<int> x;
@@ -174,8 +159,7 @@ TEST(Determinism, MilpSearchIdenticalAt128Threads) {
 
 TEST(Determinism, LpCountersReplayTheSerialSearch) {
   // The bench regression gate compares lp.solves/lp.pivots exactly, so the
-  // speculative search must book only the solves the serial search performs
-  // (discarded speculation stays off the books).
+  // pool size must not change what the search books.
   milp::Model m;
   m.set_maximize(true);
   const int a = m.add_binary(10), b = m.add_binary(13), c = m.add_binary(7);
@@ -191,17 +175,16 @@ TEST(Determinism, LpCountersReplayTheSerialSearch) {
     return std::make_pair(flat.at("lp.solves"), flat.at("lp.pivots"));
   };
   const auto serial = count(1);
-  const auto spec = count(8);
-  EXPECT_EQ(serial.first, spec.first);
-  EXPECT_EQ(serial.second, spec.second);
+  const auto pooled = count(8);
+  EXPECT_EQ(serial.first, pooled.first);
+  EXPECT_EQ(serial.second, pooled.second);
 }
 
 TEST(Determinism, WarmStartCountersIdenticalAt128Threads) {
-  // The dual-simplex warm starts ride the node's shared basis snapshot, so
-  // a speculated child solve is bit-identical to an inline one — and the
-  // milp.warm_pivots / milp.cold_solves bookkeeping (done at consumption
-  // time) must replay the serial search at every thread count. The model
-  // forces a fractional root and several levels of branching.
+  // The dual-simplex warm starts ride the parent's exported basis; the
+  // milp.warm_pivots / milp.cold_solves bookkeeping must be the same at
+  // every pool size. The model forces a fractional root and several levels
+  // of branching.
   milp::Model m;
   m.set_maximize(true);
   std::vector<int> x;

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <random>
 #include <set>
 
 #include "oracle/geom_reference.hpp"
+#include "oracle/tsp_reference.hpp"
 #include "ring/builder.hpp"
 
 namespace xring::ring {
@@ -213,21 +216,37 @@ TEST(Builder, SixteenNodeOptimalHamiltonianCycle) {
   EXPECT_EQ(r.geometry.crossings, 0);
 }
 
-TEST(Builder, LazyAndExhaustiveConflictModesAgree) {
-  // On a small irregular instance both modes must reach the same optimum.
+TEST(Builder, ProductionRingMatchesTheExhaustiveOracle) {
+  // build_ring solves the separated model; the paper-literal exhaustive
+  // formulation must reach the same optimum. The ring realizes that optimum
+  // (after sub-cycle merging), and its certified bound is the optimum.
+  std::vector<netlist::Floorplan> layouts;
   std::vector<netlist::Node> nodes;
   const geom::Point pts[] = {{0, 0}, {3000, 500}, {5000, 2500},
                              {2500, 4000}, {500, 2600}, {4200, 4800}};
   for (const auto& p : pts) nodes.push_back({0, p, ""});
-  const netlist::Floorplan fp(std::move(nodes), 6000, 6000);
+  layouts.emplace_back(std::move(nodes), 6000, 6000);
+  for (int n = 10; n <= 14; ++n) layouts.push_back(irregular(n, 8, 30 + n));
 
-  RingBuildOptions lazy;
-  lazy.conflict_mode = ConflictMode::kLazy;
-  RingBuildOptions full;
-  full.conflict_mode = ConflictMode::kExhaustive;
-  const auto a = build_ring(fp, lazy);
-  const auto b = build_ring(fp, full);
-  EXPECT_EQ(a.geometry.tour.total_length(), b.geometry.tour.total_length());
+  for (const netlist::Floorplan& fp : layouts) {
+    SCOPED_TRACE(fp.size());
+    const ConflictOracle oracle(fp);
+    milp::BnbOptions bnb;
+    bnb.time_limit_seconds = 60.0;
+    const milp::MipResult ex =
+        milp::solve(reference::exhaustive_tsp_model(fp, oracle), bnb);
+    ASSERT_EQ(ex.status, milp::MipStatus::kOptimal);
+    const auto optimum = static_cast<geom::Coord>(std::llround(ex.objective));
+
+    const RingBuildResult r = build_ring(fp, oracle);
+    ASSERT_EQ(r.mip_status, milp::MipStatus::kOptimal);
+    EXPECT_EQ(r.lower_bound_um, std::max(optimum, tour_lower_bound(fp)));
+    EXPECT_GE(r.geometry.tour.total_length(), optimum);
+    if (r.subcycles_before_merge == 1) {
+      EXPECT_EQ(r.geometry.tour.total_length(), optimum);
+    }
+    EXPECT_EQ(r.geometry.crossings, 0);
+  }
 }
 
 TEST(Builder, HeuristicOnlyModeWorks) {

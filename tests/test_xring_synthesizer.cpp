@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 
 #include "obs/context.hpp"
 #include "obs/obs.hpp"
@@ -118,6 +119,33 @@ TEST(Synthesizer, RunWithRingReusesStepOne) {
   EXPECT_EQ(a.metrics.il_star_worst_db, b.metrics.il_star_worst_db);
   EXPECT_EQ(a.metrics.wavelengths, b.metrics.wavelengths);
   EXPECT_EQ(a.metrics.waveguides, b.metrics.waveguides);
+}
+
+TEST(Synthesizer, RejectsAWavelengthCapBelowOne) {
+  const auto fp = netlist::Floorplan::standard(8);
+  Synthesizer synth(fp);
+  const auto ring = ring::build_ring(fp, synth.oracle(), {});
+  for (const int wl : {0, -4}) {
+    SynthesisOptions opt;
+    opt.mapping.max_wavelengths = wl;
+    EXPECT_THROW(synth.run(opt), std::invalid_argument) << wl;
+    EXPECT_THROW(synth.run_with_ring(opt, ring), std::invalid_argument) << wl;
+  }
+}
+
+TEST(Sweep, RejectsAMinimumWavelengthCapBelowOne) {
+  const auto fp = netlist::Floorplan::standard(8);
+  Synthesizer synth(fp);
+  int calls = 0;
+  const auto count = [&](int) {
+    ++calls;
+    return SynthesisResult{};
+  };
+  EXPECT_THROW(sweep(count, SweepGoal::kMinPower, 0, 4),
+               std::invalid_argument);
+  EXPECT_THROW(sweep_xring(synth, {}, SweepGoal::kMinPower, -1, 4),
+               std::invalid_argument);
+  EXPECT_EQ(calls, 0);
 }
 
 TEST(Sweep, FindsBestSettingForEachGoal) {

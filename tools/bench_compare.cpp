@@ -37,11 +37,11 @@
 //              exactly — that pairing is the contract: the answer may not
 //              move even when the path to it does.
 //   resource   sampled resource and scheduling telemetry (`mem.*`,
-//              `events.*`, `par.*`, `milp.spec_*`): RSS/allocator readings
-//              depend on machine and allocator state, and steal counts,
-//              queue depths, and speculation launches/hits are genuinely
-//              timing-dependent — two identical runs differ. Never gated;
-//              they ride along for the human reading the report.
+//              `events.*`, `par.*`): RSS/allocator readings depend on
+//              machine and allocator state, and steal counts and queue
+//              depths are genuinely timing-dependent — two identical runs
+//              differ. Never gated; they ride along for the human reading
+//              the report.
 //   quality    everything else; compared tight in both directions.
 //
 // Only keys present in BOTH files are compared; one-sided keys are

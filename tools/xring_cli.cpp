@@ -60,12 +60,17 @@
 //   --out FILE         output path (default: stdout)
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "analysis/latency.hpp"
@@ -130,6 +135,34 @@ class Args {
   std::map<std::size_t, bool> used_;
 };
 
+/// Parses the value of `flag` as a whole-token decimal integer: trailing
+/// text ("8abc"), an empty token and out-of-range values are rejected.
+int parse_int(const std::string& flag, const std::string& text) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(begin, &end, 10);
+  if (end == begin || *end != '\0' || errno == ERANGE ||
+      v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument(flag + ": expected an integer, got '" + text +
+                                "'");
+  }
+  return static_cast<int>(v);
+}
+
+/// Parses the value of `flag` as a whole-token number of seconds >= 0.
+double parse_seconds(const std::string& flag, const std::string& text) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  const double v = std::strtod(begin, &end);
+  if (end == begin || *end != '\0' || std::isnan(v) || v < 0.0) {
+    throw std::invalid_argument(flag + ": expected seconds >= 0, got '" +
+                                text + "'");
+  }
+  return v;
+}
+
 /// True when `s` ends in `suffix`, compared case-insensitively — users write
 /// metrics.CSV as readily as metrics.csv.
 bool has_suffix_nocase(const std::string& s, const std::string& suffix) {
@@ -160,11 +193,12 @@ int cmd_synth(Args& args) {
   if (!file.empty()) {
     fp = netlist::load_floorplan(file);
   } else {
-    fp = netlist::Floorplan::standard(std::stoi(args.value("--nodes", "16")));
+    fp = netlist::Floorplan::standard(
+        parse_int("--nodes", args.value("--nodes", "16")));
   }
 
   const std::string jobs = args.value("--jobs");
-  if (!jobs.empty()) par::set_jobs(std::stoi(jobs));
+  if (!jobs.empty()) par::set_jobs(parse_int("--jobs", jobs));
 
   SynthesisOptions opt;
   const std::string params_file = args.value("--params");
@@ -172,14 +206,14 @@ int cmd_synth(Args& args) {
     opt.params = phys::load_parameters(params_file, opt.params);
   }
   opt.mapping.max_wavelengths =
-      std::stoi(args.value("--wl", std::to_string(fp.size())));
+      parse_int("--wl", args.value("--wl", std::to_string(fp.size())));
   opt.build_pdn = !args.flag("--no-pdn");
   opt.shortcuts.enable = !args.flag("--no-shortcuts");
   // Opt-in budgeted Step 1: swap the exact ring MILP for the LNS with a
   // certified gap (ring/builder.hpp), keeping everything downstream as is.
   const std::string milp_budget = args.value("--milp-budget");
   if (!milp_budget.empty()) {
-    opt.ring.lns_budget_seconds = std::stod(milp_budget);
+    opt.ring.lns_budget_seconds = parse_seconds("--milp-budget", milp_budget);
   }
   if (args.flag("--comb-pdn")) {
     opt.pdn_style = SynthesisOptions::PdnStyle::kComb;
@@ -368,11 +402,12 @@ int cmd_verify(Args& args) {
   if (!file.empty()) {
     fp = netlist::load_floorplan(file);
   } else {
-    fp = netlist::Floorplan::standard(std::stoi(args.value("--nodes", "16")));
+    fp = netlist::Floorplan::standard(
+        parse_int("--nodes", args.value("--nodes", "16")));
   }
   SynthesisOptions opt;
   opt.mapping.max_wavelengths =
-      std::stoi(args.value("--wl", std::to_string(fp.size())));
+      parse_int("--wl", args.value("--wl", std::to_string(fp.size())));
   if (!args.report_unused()) return 2;
 
   const Synthesizer synth(fp);
@@ -385,7 +420,7 @@ int cmd_verify(Args& args) {
 }
 
 int cmd_floorplan(Args& args) {
-  const int nodes = std::stoi(args.value("--nodes", "16"));
+  const int nodes = parse_int("--nodes", args.value("--nodes", "16"));
   const std::string out = args.value("--out");
   if (!args.report_unused()) return 2;
   const auto fp = netlist::Floorplan::standard(nodes);

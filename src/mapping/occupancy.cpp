@@ -369,32 +369,6 @@ bool OccupancyIndex::fits_words(const SlotBits& slot, SignalId id,
          scan(0, (last - arcs_->nodes()) >> 6);
 }
 
-bool OccupancyIndex::fits_scan(int waveguide, int wavelength,
-                               SignalId id) const {
-  const Mapping& m = *mapping_;
-  const RingWaveguide& wg = m.waveguides[waveguide];
-  const Direction dir = wg.dir;
-
-  // An already-fixed opening must not lie inside the signal's arc.
-  if (wg.opening != -1 &&
-      arcs_->interior_contains(id, dir, arcs_->position(wg.opening))) {
-    return false;
-  }
-
-  const auto& wg_slots = slots_[waveguide];
-  if (wavelength >= static_cast<int>(wg_slots.size()) ||
-      wg_slots[wavelength].bits.empty()) {
-    return true;  // nothing occupies this (waveguide, λ) slot yet
-  }
-  // If the signal itself already resides in this slot, its own bits are in
-  // the slot; the brute-force reference skips `other == signal`, which here
-  // means the intersection must be exactly the signal's own mask.
-  const SignalRoute& r = m.routes[id];
-  const bool resident = is_ring_route(r) && r.waveguide == waveguide &&
-                        r.wavelength == wavelength;
-  return fits_words(wg_slots[wavelength], id, dir, resident);
-}
-
 bool OccupancyIndex::fits(int waveguide, int wavelength, SignalId id) const {
   ++stats_.fits_probes;
   const Mapping& m = *mapping_;

@@ -98,8 +98,8 @@ class ArcTable {
 ///     (one 64-bit summary word over the n/64 occupancy words and a live
 ///     set-bit count), making `fits` O(1) for definite accepts (disjoint
 ///     summaries, empty slots) and definite rejects (a fully-covered word
-///     with live bits, or the pigeonhole `live + len > n`), with the PR-4
-///     word scan kept verbatim as the fallback and reference (`fits_scan`);
+///     with live bits, or the pigeonhole `live + len > n`), with a word
+///     scan over the arc's words as the fallback;
 ///   - per-signal first-fit cursors per direction: `find_first_fit` resumes
 ///     where the same signal's previous search failed instead of from slot
 ///     0. A cursor stays sound because failed probes are monotone under bit
@@ -129,8 +129,8 @@ class ArcTable {
 ///
 /// All mutations of the mapping's ring state must go through this class
 /// while an index is live. Predicates are *bit-identical* to the brute-force
-/// reference implementations (`reference::fits` in tests/oracle,
-/// `mapping::passing_signals`):
+/// reference implementations (`reference::fits`, `reference::fits_scan` and
+/// `reference::passing_signals` in tests/oracle/mapping_reference.hpp):
 /// the index only evaluates the same predicates faster, which
 /// tests/test_mapping_index.cpp and tests/test_mapping_fastpath.cpp enforce
 /// differentially.
@@ -140,15 +140,11 @@ class OccupancyIndex {
   OccupancyIndex(const ArcTable& arcs, Mapping& mapping);
 
   /// Indexed equivalent of the brute-force reference::fits(tour, traffic, m,
-  /// w, wl, id) (tests/oracle/mapping_reference.hpp).
-  /// Summary fast path first, word scan only when the summary is
-  /// inconclusive; always returns exactly what `fits_scan` would.
+  /// w, wl, id) and the word-level reference::fits_scan
+  /// (tests/oracle/mapping_reference.hpp). Summary fast path first, a word
+  /// scan of the arc's words only when the summary is inconclusive (or the
+  /// ring exceeds the summary's 64-word reach).
   bool fits(int waveguide, int wavelength, SignalId id) const;
-
-  /// The PR-4 word-scan `fits`, kept verbatim as the differential reference
-  /// for the summary fast path (and as the fallback when the ring exceeds
-  /// the summary's 64-word reach).
-  bool fits_scan(int waveguide, int wavelength, SignalId id) const;
 
   /// A found (waveguide, wavelength) slot; waveguide < 0 means none fits.
   struct Slot {
@@ -167,7 +163,8 @@ class OccupancyIndex {
   Slot find_first_fit(Direction dir, SignalId id, int from_waveguide,
                       int max_wavelengths);
 
-  /// Indexed equivalent of mapping::passing_signals(..., w, tour.at(pos)).
+  /// Indexed equivalent of reference::passing_signals(..., w, tour.at(pos))
+  /// (tests/oracle/mapping_reference.hpp).
   int passing_count(int waveguide, int pos) const {
     return passing_[waveguide][pos];
   }

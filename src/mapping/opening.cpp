@@ -10,22 +10,6 @@
 
 namespace xring::mapping {
 
-int passing_signals(const ring::Tour& tour, const netlist::Traffic& traffic,
-                    const Mapping& mapping, int w, NodeId node) {
-  int count = 0;
-  const RingWaveguide& wg = mapping.waveguides[w];
-  for (const SignalId id : wg.signals) {
-    const auto& sig = traffic.signal(id);
-    for (const NodeId v : interior_nodes(tour, sig.src, sig.dst, wg.dir)) {
-      if (v == node) {
-        ++count;
-        break;
-      }
-    }
-  }
-  return count;
-}
-
 std::vector<std::pair<int, NodeId>> opening_candidate_order(
     const OccupancyIndex& index, const ring::Tour& tour, int w) {
   // Stable counting sort by passing count: bucket offsets from a count

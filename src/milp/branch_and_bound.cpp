@@ -23,6 +23,13 @@ std::string to_string(MipStatus s) {
   return "unknown";
 }
 
+double ObjectiveLattice::lift(double bound) const {
+  if (step <= 0.0 || !std::isfinite(bound)) return bound;
+  const double slack = 1e-6 * std::max(1.0, std::abs(bound));
+  const double k = std::ceil((bound - slack - offset) / step);
+  return std::max(bound, offset + k * step);
+}
+
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -144,6 +151,18 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
 
   MipResult result;
   lp::Problem relaxation = build_lp(model);
+  // The lattice in minimization sense: bounds below are compared with the
+  // incumbent only after rounding up to it.
+  const ObjectiveLattice lattice{sign * options.objective_lattice.offset,
+                                 options.objective_lattice.step};
+  double incumbent_obj = lp::kInfinity;  // minimization sense
+  // A node whose lifted bound reaches the incumbent (within the gap) holds
+  // no better point.
+  auto prunable = [&](double bound) {
+    return incumbent_obj < lp::kInfinity &&
+           lattice.lift(bound) >=
+               incumbent_obj - std::abs(incumbent_obj) * options.gap - 1e-9;
+  };
 
   // Progress telemetry into the JSONL event stream (obs/events.hpp):
   // timestamped incumbent/bound/gap/open-node records in search order.
@@ -173,7 +192,6 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
   // lazy-cut, and terminal events always fire.
   constexpr long long kEventStride = 32;
 
-  double incumbent_obj = lp::kInfinity;  // minimization sense
   std::vector<double> incumbent;
 
   // Vet the warm start: it must satisfy every explicit constraint, be
@@ -240,14 +258,14 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
     }
     Node node = *open.begin();
     open.erase(open.begin());
-    if (incumbent_obj < lp::kInfinity &&
-        node.bound >= incumbent_obj - std::abs(incumbent_obj) * options.gap - 1e-9) {
+    if (prunable(node.bound)) {
       continue;  // pruned by an incumbent found after the node was queued
     }
     ++result.nodes;
     if (result.nodes % kEventStride == 1) {
       // node.bound is the best-first key, i.e. the global lower bound here.
-      emit_event("milp.node", open.size() + 1, incumbent_obj, node.bound);
+      emit_event("milp.node", open.size() + 1, incumbent_obj,
+                 lattice.lift(node.bound));
     }
 
     NodeSolve solved = solve_node(node);
@@ -279,7 +297,7 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
     }
 
     const double bound = rel.objective;  // minimization sense (normalized)
-    if (bound >= incumbent_obj - 1e-9) continue;
+    if (lattice.lift(bound) >= incumbent_obj - 1e-9) continue;
 
     if (is_integral(model, rel.x, options.integrality_tolerance)) {
       // Round exactly-integral values to kill drift before the lazy check.
@@ -361,6 +379,12 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
     }
   }
 
+  // A limit stop whose open nodes are all prunable (best-first order puts
+  // the lowest bound first) has in fact finished the search.
+  if (hit_limit && prunable(open.begin()->bound)) {
+    open.clear();
+    hit_limit = false;
+  }
   result.seconds = elapsed();
   record_totals(result);
   if (!incumbent.empty()) {
@@ -398,8 +422,10 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
   }
   // An exhausted open set proves the incumbent optimal, so the final bound
   // meets it; a limit stop reports the best remaining open bound instead
-  // (best-first order makes the first open node the global bound).
-  const double bound_min = open.empty() ? incumbent_obj : open.begin()->bound;
+  // (best-first order makes the first open node the global bound), lifted to
+  // the lattice. It stays below the incumbent: that node is not prunable.
+  const double bound_min =
+      open.empty() ? incumbent_obj : lattice.lift(open.begin()->bound);
   result.best_bound = sign * bound_min;
   emit_event("milp.done", open.size(), incumbent_obj, bound_min);
   return result;
@@ -443,8 +469,18 @@ MipResult solve(const Model& model, const BnbOptions& options) {
     return result;
   }
 
+  // The objective of the fixed variables: the reduced model's objective is
+  // the original one minus this constant, and so is its lattice offset.
+  double fixed_obj = 0.0;
+  for (int v = 0; v < model.num_variables(); ++v) {
+    if (pre.reduced_of_orig[v] < 0) {
+      fixed_obj += model.objective(v) * pre.fixed_value[v];
+    }
+  }
+
   BnbOptions inner = options;
   inner.presolve = false;
+  inner.objective_lattice.offset -= fixed_obj;
   if (options.warm_start &&
       static_cast<int>(options.warm_start->size()) == model.num_variables()) {
     std::vector<double> w = pre.restrict_point(*options.warm_start);
@@ -479,12 +515,6 @@ MipResult solve(const Model& model, const BnbOptions& options) {
     // recomputed over the original model, so downstream consumers see the
     // original variable space byte-identically.
     result.objective = objective_of(model, result.x);
-  }
-  double fixed_obj = 0.0;
-  for (int v = 0; v < model.num_variables(); ++v) {
-    if (pre.reduced_of_orig[v] < 0) {
-      fixed_obj += model.objective(v) * pre.fixed_value[v];
-    }
   }
   if (std::abs(result.best_bound) < lp::kInfinity) {
     result.best_bound += fixed_obj;

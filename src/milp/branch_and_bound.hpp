@@ -56,6 +56,24 @@ using LazyConstraintHandler =
 using CutSeparator =
     std::function<std::vector<Constraint>(const std::vector<double>& x)>;
 
+/// The values the objective can take at a feasible point of a model:
+/// `offset + step * k` for integer k, in the caller's objective sense. It is
+/// a proven property of the model, not a tuning knob: a lattice that misses
+/// a feasible objective prunes it. Cycle-cover models on integer floorplans
+/// declare one (every closed rectilinear cycle is an even multiple of the
+/// coordinate gcd; ring/tsp_model.hpp). step = 0 declares nothing.
+struct ObjectiveLattice {
+  double offset = 0.0;
+  double step = 0.0;
+
+  /// The smallest lattice value that is >= `bound` up to a relative slack
+  /// of 1e-6 (so LP round-off just above a lattice value never lifts a full
+  /// step), and never below `bound` itself. A lower bound on a minimized
+  /// objective stays a lower bound. Returns `bound` unchanged when step is 0
+  /// or `bound` is infinite.
+  double lift(double bound) const;
+};
+
 struct BnbOptions {
   double time_limit_seconds = 60.0;
   long node_limit = 1'000'000;
@@ -67,6 +85,11 @@ struct BnbOptions {
   std::optional<std::vector<double>> warm_start;
   LazyConstraintHandler lazy_handler;
   CutSeparator cut_separator;
+  /// Where the model's feasible objectives lie (see ObjectiveLattice). The
+  /// search rounds every LP bound up to it before comparing the bound with
+  /// the incumbent and before reporting MipResult::best_bound; the
+  /// best-first order still uses the raw LP objective.
+  ObjectiveLattice objective_lattice;
   /// Cut separation budget: rounds per node and the node depth past which
   /// separation stops (deep nodes rarely produce globally useful cuts).
   int max_cut_rounds = 8;

@@ -55,6 +55,7 @@ RingBuildResult build_ring(const netlist::Floorplan& floorplan,
       bnb.time_limit_seconds = options.time_limit_seconds;
       bnb.lazy_handler = tsp.lazy_handler();
       bnb.cut_separator = tsp.cut_separator();
+      bnb.objective_lattice = tsp.objective_lattice();
       // Seed the incumbent only when the heuristic tour is itself legal; a
       // conflicted warm start would be rejected by the solver's vetting
       // anyway.

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "milp/branch_and_bound.hpp"
 #include "milp/model.hpp"
@@ -57,6 +58,18 @@ geom::Coord tour_lower_bound(const netlist::Floorplan& floorplan) {
     doubled += min1 + min2;
   }
   return (doubled + 1) / 2;
+}
+
+geom::Coord offset_gcd(const netlist::Floorplan& floorplan,
+                       const std::vector<NodeId>& nodes) {
+  geom::Coord g = 0;
+  if (nodes.empty()) return g;
+  const geom::Point& origin = floorplan.position(nodes.front());
+  for (const NodeId v : nodes) {
+    const geom::Point& p = floorplan.position(v);
+    g = std::gcd(g, std::gcd(p.x - origin.x, p.y - origin.y));
+  }
+  return g;
 }
 
 namespace {
@@ -378,6 +391,12 @@ bool repair_window(std::vector<NodeId>& order,
   // any thread count.
   bnb.time_limit_seconds = 1e9;
   bnb.node_limit = repair_node_limit;
+  // Every feasible point is an entry->exit path plus closed sub-cycles over
+  // the window's nodes, so its length lies on d(entry, exit) + 2k·Z with k
+  // the offset_gcd of those nodes (ALGORITHMS.md, "Parity lattice").
+  bnb.objective_lattice = {
+      static_cast<double>(floorplan.distance(g[0], g[local - 1])),
+      2.0 * static_cast<double>(offset_gcd(floorplan, g))};
   // Feed the incumbent segment back in as the primal bound.
   std::vector<double> warm(edges.count(), 0.0);
   for (int t = 0; t < local; ++t) {

@@ -69,6 +69,14 @@ int tour_conflicts(const std::vector<NodeId>& order,
 /// boustrophedon tour).
 geom::Coord tour_lower_bound(const netlist::Floorplan& floorplan);
 
+/// Greatest common divisor of the nodes' coordinate offsets: every x and y
+/// difference between two of `nodes` is a multiple of it. Every closed
+/// rectilinear walk through those nodes has a length that is a multiple of
+/// twice this value (ALGORITHMS.md, "Parity lattice"). 0 when the nodes
+/// share one site (or fewer than two are given).
+geom::Coord offset_gcd(const netlist::Floorplan& floorplan,
+                       const std::vector<NodeId>& nodes);
+
 /// Time-budgeted large-neighbourhood search over tours: destroy a window of
 /// consecutive tour positions and repair it with an *exact* MILP over the
 /// sub-neighbourhood (endpoints pinned, conflicts against the frozen

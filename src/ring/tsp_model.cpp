@@ -1,6 +1,9 @@
 #include "ring/tsp_model.hpp"
 
 #include <algorithm>
+#include <numeric>
+
+#include "ring/heuristic.hpp"
 
 namespace xring::ring {
 
@@ -30,6 +33,10 @@ TspModel::TspModel(const netlist::Floorplan& floorplan,
     model_.add_constraint(std::move(out_terms), milp::Sense::kEq, 1.0);
     model_.add_constraint(std::move(in_terms), milp::Sense::kEq, 1.0);
   }
+
+  std::vector<NodeId> all(n);
+  std::iota(all.begin(), all.end(), 0);
+  lattice_.step = 2.0 * static_cast<double>(offset_gcd(floorplan, all));
 }
 
 void TspModel::add_symmetry_breaking(const std::vector<NodeId>& reference) {

@@ -30,6 +30,12 @@ class TspModel {
   const milp::Model& model() const { return model_; }
   const EdgeSpace& edges() const { return edges_; }
 
+  /// Every feasible point is a directed cycle cover, and every closed
+  /// rectilinear cycle is an even multiple of g, the gcd of the node
+  /// coordinate offsets (offset_gcd): the objective lies on 2g·Z. Pass it
+  /// as milp::BnbOptions::objective_lattice. Step 0 when g is 0.
+  const milp::ObjectiveLattice& objective_lattice() const { return lattice_; }
+
   /// Breaks the tour's reflective symmetry. The edge formulation already
   /// quotients out rotations (a tour's edge set is rotation-invariant), so
   /// the only residual symmetry is reversal: every selection and its mirror
@@ -66,6 +72,7 @@ class TspModel {
   const ConflictOracle* oracle_;
   EdgeSpace edges_;
   milp::Model model_;
+  milp::ObjectiveLattice lattice_;
 };
 
 }  // namespace xring::ring

@@ -130,9 +130,10 @@ void check_openings(const RouterDesign& d, const mapping::ArcTable* arcs,
           "waveguide " + std::to_string(w) + " has no opening");
       continue;
     }
-    // mapping::passing_signals counts the waveguide's signals whose
-    // interior_nodes contain the opening; interior_contains evaluates the
-    // same strict-interior predicate per signal in O(1).
+    // Count the waveguide's signals whose interior_nodes contain the
+    // opening (the test oracle reference::passing_signals walks those node
+    // lists); interior_contains evaluates the same strict-interior
+    // predicate per signal in O(1).
     int passing = 0;
     if (!wg.signals.empty()) {
       const int pos = arcs->position(wg.opening);

@@ -1,6 +1,7 @@
 #include "oracle/mapping_reference.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace xring::mapping::reference {
 
@@ -30,6 +31,43 @@ bool fits(const ring::Tour& tour, const netlist::Traffic& traffic,
     }
   }
   return true;
+}
+
+bool fits_scan(const ArcTable& arcs, const Mapping& mapping, int waveguide,
+               int wavelength, SignalId signal) {
+  const RingWaveguide& w = mapping.waveguides[waveguide];
+  if (w.opening != -1 &&
+      arcs.interior_contains(signal, w.dir, arcs.position(w.opening))) {
+    return false;
+  }
+  std::vector<std::uint64_t> slot(arcs.words(), 0);
+  for (const SignalId other : w.signals) {
+    if (other == signal) continue;
+    if (mapping.routes[other].wavelength != wavelength) continue;
+    const std::uint64_t* theirs = arcs.mask(other, w.dir);
+    for (int k = 0; k < arcs.words(); ++k) slot[k] |= theirs[k];
+  }
+  const std::uint64_t* mine = arcs.mask(signal, w.dir);
+  for (int k = 0; k < arcs.words(); ++k) {
+    if ((slot[k] & mine[k]) != 0) return false;
+  }
+  return true;
+}
+
+int passing_signals(const ring::Tour& tour, const netlist::Traffic& traffic,
+                    const Mapping& mapping, int w, NodeId node) {
+  int count = 0;
+  const RingWaveguide& wg = mapping.waveguides[w];
+  for (const SignalId id : wg.signals) {
+    const auto& sig = traffic.signal(id);
+    for (const NodeId v : interior_nodes(tour, sig.src, sig.dst, wg.dir)) {
+      if (v == node) {
+        ++count;
+        break;
+      }
+    }
+  }
+  return count;
 }
 
 Mapping ornoc_assignment(const ring::Tour& tour,

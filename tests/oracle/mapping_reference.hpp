@@ -5,6 +5,7 @@
 // re-derive every arc from the tour on every probe, so they are slow and
 // obviously correct; only the differential test suites link them.
 
+#include "mapping/occupancy.hpp"
 #include "mapping/wavelength.hpp"
 
 namespace xring::mapping::reference {
@@ -16,6 +17,19 @@ namespace xring::mapping::reference {
 bool fits(const ring::Tour& tour, const netlist::Traffic& traffic,
           const Mapping& mapping, int waveguide, int wavelength,
           SignalId signal);
+
+/// Word-level `fits`: the same predicate over the ArcTable's hop bitsets,
+/// with the slot's occupancy rebuilt from the mapping's placements on every
+/// call (every other signal on `waveguide` at `wavelength`, OR-ed mask by
+/// mask) and every occupancy word scanned. OccupancyIndex::fits answers it
+/// from its incrementally maintained bits and summaries.
+bool fits_scan(const ArcTable& arcs, const Mapping& mapping, int waveguide,
+               int wavelength, SignalId signal);
+
+/// Number of signals on waveguide `w` whose arc passes *through* `node`.
+/// OccupancyIndex::passing_count maintains the same count incrementally.
+int passing_signals(const ring::Tour& tour, const netlist::Traffic& traffic,
+                    const Mapping& mapping, int w, NodeId node);
 
 /// The ORNoC wavelength assignment as a plain first-fit loop over `fits`:
 /// per signal in traffic order, every waveguide of the shorter direction in

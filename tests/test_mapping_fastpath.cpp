@@ -3,9 +3,11 @@
 // `find_first_fit`, the counting-sort opening-candidate order, and the
 // memoized-candidate skip.
 //
-// Three levels are compared: the production fast path, the PR-4 word scan
-// kept verbatim (`fits_scan`), and the brute-force reference predicate
-// (`reference::fits`, tests/oracle/mapping_reference.hpp). The contract is
+// Three levels are compared: the production fast path, the word-level
+// reference (`reference::fits_scan`, which rebuilds the slot's bits from the
+// mapping on every call), and the brute-force reference predicate
+// (`reference::fits`); both references live in
+// tests/oracle/mapping_reference.hpp. The contract is
 // BIT-IDENTICAL decisions — the fast paths may only skip work with a proof,
 // never change an answer — so every test asserts exact equality of
 // predicates, probe outcomes, complete mappings, and opening statistics, at
@@ -106,7 +108,7 @@ void expect_mappings_identical(const Mapping& a, const Mapping& b) {
 }
 
 /// Three-level fits agreement over every (waveguide, wavelength, signal) of
-/// the mapping's current state: summary fast path == verbatim PR-4 word
+/// the mapping's current state: summary fast path == word-level reference
 /// scan exhaustively; the O(signals × hops)-per-call brute-force reference
 /// on every `brute_stride`-th signal (1 = all — the scan itself is checked
 /// against brute force exhaustively at the smaller sizes, so sampling the
@@ -120,7 +122,7 @@ void expect_fits_three_level(const ring::Tour& tour, const Traffic& traffic,
     for (const auto& sig : traffic.signals()) {
       for (int wl = 0; wl < max_wavelengths; ++wl) {
         const bool fast = index.fits(w, wl, sig.id);
-        const bool scan = index.fits_scan(w, wl, sig.id);
+        const bool scan = reference::fits_scan(arcs, mapping, w, wl, sig.id);
         ASSERT_EQ(fast, scan)
             << "summary vs scan: w=" << w << " wl=" << wl << " sig=" << sig.id;
         if (sig.id % brute_stride == 0) {
@@ -134,9 +136,9 @@ void expect_fits_three_level(const ring::Tour& tour, const Traffic& traffic,
 
 class FastpathAllToAll : public ::testing::TestWithParam<int> {};
 
-// Summary-index vs PR-4 index vs brute-force on the mapped and the opened
-// state. n=64 spans exactly one occupancy word (full-word summary coverage);
-// the smaller sizes exercise the partial-word masks.
+// Summary index vs word-level reference vs brute force on the mapped and the
+// opened state. n=64 spans exactly one occupancy word (full-word summary
+// coverage); the smaller sizes exercise the partial-word masks.
 TEST_P(FastpathAllToAll, FitsThreeLevelAgreement) {
   const int n = GetParam();
   const Instance inst = make_instance(n, Traffic::all_to_all(n), false);
@@ -196,7 +198,9 @@ TEST(FastpathCursor, WarmSearchMatchesColdScanAcrossRollbacks) {
     for (int w = 0; w < static_cast<int>(mapping.waveguides.size()); ++w) {
       if (mapping.waveguides[w].dir != dir || w == from) continue;
       for (int wl = 0; wl < mo.max_wavelengths; ++wl) {
-        if (index.fits_scan(w, wl, id)) return OccupancyIndex::Slot{w, wl};
+        if (reference::fits_scan(arcs, mapping, w, wl, id)) {
+          return OccupancyIndex::Slot{w, wl};
+        }
       }
     }
     return slot;

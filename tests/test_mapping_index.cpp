@@ -34,7 +34,8 @@ using reference::fits;
 // --------------------------------------------------------------------------
 // Reference implementations: the exact pre-index Step-3 hot loops (deep-copy
 // transactions, per-probe occupied_hops/interior_nodes derivation), built on
-// the brute-force predicates `reference::fits` / `passing_signals`.
+// the brute-force predicates `reference::fits` /
+// `reference::passing_signals`.
 
 std::pair<int, int> ref_place_on_ring(const ring::Tour& tour,
                                       const Traffic& traffic, Mapping& m,
@@ -181,8 +182,8 @@ OpeningStats ref_create_openings(const ring::Tour& tour,
     std::vector<std::pair<int, NodeId>> candidates;
     for (int pos = 0; pos < tour.size(); ++pos) {
       const NodeId v = tour.at(pos);
-      candidates.emplace_back(passing_signals(tour, traffic, mapping, w, v),
-                              v);
+      candidates.emplace_back(
+          reference::passing_signals(tour, traffic, mapping, w, v), v);
     }
     std::stable_sort(candidates.begin(), candidates.end(),
                      [](const auto& a, const auto& b) {
@@ -277,7 +278,7 @@ void expect_index_agrees(const ring::Tour& tour, const Traffic& traffic,
     for (int pos = 0; pos < tour.size(); ++pos) {
       const NodeId v = tour.at(pos);
       EXPECT_EQ(index.passing_count(w, pos),
-                passing_signals(tour, traffic, mapping, w, v))
+                reference::passing_signals(tour, traffic, mapping, w, v))
           << "w=" << w << " pos=" << pos;
       EXPECT_EQ(index.signals_passing(w, v),
                 ref_signals_passing(tour, traffic, mapping, w, v))

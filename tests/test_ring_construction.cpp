@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <random>
 #include <set>
 
@@ -38,9 +39,11 @@ TEST(ConflictOracle, SameEdgeNeverConflicts) {
 }
 
 /// `nodes` distinct sites drawn uniformly from a `sites` x `sites` grid at
-/// 1 mm pitch, so node pairs share rows and columns often and their
-/// bounding boxes touch, nest and coincide.
-netlist::Floorplan irregular(int nodes, int sites, unsigned seed) {
+/// `pitch_x` x `pitch_y` µm (1 mm by default), so node pairs share rows and
+/// columns often and their bounding boxes touch, nest and coincide.
+netlist::Floorplan irregular(int nodes, int sites, unsigned seed,
+                             geom::Coord pitch_x = 1000,
+                             geom::Coord pitch_y = 1000) {
   std::mt19937 rng(seed);
   std::uniform_int_distribution<int> cell(0, sites - 1);
   std::set<std::pair<int, int>> used;
@@ -48,12 +51,10 @@ netlist::Floorplan irregular(int nodes, int sites, unsigned seed) {
   while (static_cast<int>(out.size()) < nodes) {
     const int x = cell(rng), y = cell(rng);
     if (!used.insert({x, y}).second) continue;
-    out.push_back({0, geom::Point{static_cast<geom::Coord>(x) * 1000,
-                                  static_cast<geom::Coord>(y) * 1000},
-                   ""});
+    out.push_back({0, geom::Point{x * pitch_x, y * pitch_y}, ""});
   }
-  const geom::Coord die = static_cast<geom::Coord>(sites + 1) * 1000;
-  return netlist::Floorplan(std::move(out), die, die);
+  return netlist::Floorplan(std::move(out), (sites + 1) * pitch_x,
+                            (sites + 1) * pitch_y);
 }
 
 TEST(ConflictOracle, MatchesDirectGeometryTest) {
@@ -217,19 +218,35 @@ TEST(Builder, SixteenNodeOptimalHamiltonianCycle) {
 }
 
 TEST(Builder, ProductionRingMatchesTheExhaustiveOracle) {
-  // build_ring solves the separated model; the paper-literal exhaustive
-  // formulation must reach the same optimum. The ring realizes that optimum
-  // (after sub-cycle merging), and its certified bound is the optimum.
-  std::vector<netlist::Floorplan> layouts;
+  // build_ring solves the separated model with the parity lattice; the
+  // paper-literal exhaustive formulation, solved without a lattice, must
+  // reach the same optimum. The ring realizes that optimum (after sub-cycle
+  // merging), and its certified bound is the optimum. The layouts include
+  // odd pitches (g = 1 µm and 500 µm) and mixed x/y pitches, where the
+  // lattice step 2g differs from the 1 mm default.
+  struct Layout {
+    netlist::Floorplan fp;
+    geom::Coord g;  // gcd of the coordinate offsets
+  };
+  std::vector<Layout> layouts;
   std::vector<netlist::Node> nodes;
   const geom::Point pts[] = {{0, 0}, {3000, 500}, {5000, 2500},
                              {2500, 4000}, {500, 2600}, {4200, 4800}};
   for (const auto& p : pts) nodes.push_back({0, p, ""});
-  layouts.emplace_back(std::move(nodes), 6000, 6000);
-  for (int n = 10; n <= 14; ++n) layouts.push_back(irregular(n, 8, 30 + n));
+  layouts.push_back({netlist::Floorplan(std::move(nodes), 6000, 6000), 100});
+  for (int n = 10; n <= 14; ++n) {
+    layouts.push_back({irregular(n, 8, 30 + n), 1000});
+  }
+  for (int n = 10; n <= 12; ++n) {
+    layouts.push_back({irregular(n, 8, 50 + n, 1, 1), 1});
+    layouts.push_back({irregular(n, 8, 60 + n, 500, 500), 500});
+    layouts.push_back({irregular(n, 8, 70 + n, 1000, 1500), 500});
+    layouts.push_back({irregular(n, 8, 80 + n, 999, 1000), 1});
+  }
 
-  for (const netlist::Floorplan& fp : layouts) {
-    SCOPED_TRACE(fp.size());
+  for (const Layout& layout : layouts) {
+    const netlist::Floorplan& fp = layout.fp;
+    SCOPED_TRACE(testing::Message() << "n=" << fp.size() << " g=" << layout.g);
     const ConflictOracle oracle(fp);
     milp::BnbOptions bnb;
     bnb.time_limit_seconds = 60.0;
@@ -237,6 +254,15 @@ TEST(Builder, ProductionRingMatchesTheExhaustiveOracle) {
         milp::solve(reference::exhaustive_tsp_model(fp, oracle), bnb);
     ASSERT_EQ(ex.status, milp::MipStatus::kOptimal);
     const auto optimum = static_cast<geom::Coord>(std::llround(ex.objective));
+
+    // The declared lattice holds the optimum.
+    const TspModel tsp(fp, oracle);
+    const milp::ObjectiveLattice& lattice = tsp.objective_lattice();
+    std::vector<NodeId> all(fp.size());
+    std::iota(all.begin(), all.end(), 0);
+    ASSERT_EQ(offset_gcd(fp, all), layout.g);
+    ASSERT_EQ(lattice.step, 2.0 * static_cast<double>(layout.g));
+    EXPECT_EQ(optimum % (2 * layout.g), 0);
 
     const RingBuildResult r = build_ring(fp, oracle);
     ASSERT_EQ(r.mip_status, milp::MipStatus::kOptimal);
@@ -246,7 +272,42 @@ TEST(Builder, ProductionRingMatchesTheExhaustiveOracle) {
       EXPECT_EQ(r.geometry.tour.total_length(), optimum);
     }
     EXPECT_EQ(r.geometry.crossings, 0);
+
+    // Stopped early, the lifted bound is a lattice value and still never
+    // exceeds the optimum.
+    for (const long limit : {1L, 3L, 10L}) {
+      milp::BnbOptions early;
+      early.node_limit = limit;
+      early.lazy_handler = tsp.lazy_handler();
+      early.cut_separator = tsp.cut_separator();
+      early.objective_lattice = lattice;
+      const milp::MipResult m = milp::solve(tsp.model(), early);
+      if (!std::isfinite(m.best_bound)) continue;
+      EXPECT_LE(m.best_bound, static_cast<double>(optimum) + 1e-6)
+          << "node limit " << limit;
+      if (m.status == milp::MipStatus::kOptimal) {
+        EXPECT_EQ(std::llround(m.objective), optimum);
+      }
+    }
   }
+}
+
+TEST(Builder, CoincidentSitesDeclareNoLattice) {
+  // g = 0 when every coordinate offset is zero: the lattice step is 0, i.e.
+  // no lattice, and milp::solve runs its plain search (the milp Lattice
+  // tests pin that a zero step leaves the search untouched).
+  std::vector<netlist::Node> nodes;
+  for (int i = 0; i < 3; ++i) nodes.push_back({0, geom::Point{700, 300}, ""});
+  const netlist::Floorplan same(std::move(nodes), 1000, 1000);
+  EXPECT_EQ(offset_gcd(same, {0, 1, 2}), 0);
+  const auto grid = netlist::Floorplan::grid(2, 3, 1500);
+  EXPECT_EQ(offset_gcd(grid, {4}), 0);
+  EXPECT_EQ(offset_gcd(grid, {0, 1, 2, 3, 4, 5}), 1500);
+  EXPECT_EQ(offset_gcd(grid, {0, 3}), 1500);
+  const ConflictOracle oracle(grid);
+  const TspModel tsp(grid, oracle);
+  EXPECT_EQ(tsp.objective_lattice().step, 3000.0);
+  EXPECT_EQ(tsp.objective_lattice().offset, 0.0);
 }
 
 TEST(Builder, HeuristicOnlyModeWorks) {

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "obs/context.hpp"
+#include "oracle/mapping_reference.hpp"
 #include "obs/obs.hpp"
 #include "par/pool.hpp"
 #include "xring/sweep.hpp"
@@ -245,9 +246,9 @@ TEST_P(SynthesizerSweep, StructuralInvariants) {
   for (std::size_t w = 0; w < r.design.mapping.waveguides.size(); ++w) {
     const auto& wg = r.design.mapping.waveguides[w];
     EXPECT_GE(wg.opening, 0);
-    EXPECT_EQ(mapping::passing_signals(r.design.ring.tour, r.design.traffic,
-                                       r.design.mapping, static_cast<int>(w),
-                                       wg.opening),
+    EXPECT_EQ(mapping::reference::passing_signals(
+                  r.design.ring.tour, r.design.traffic, r.design.mapping,
+                  static_cast<int>(w), wg.opening),
               0);
     // Every node that actually sends on this waveguide has a feed; nodes
     // without a sender carry none (Sec. III-D: the leaves are the senders).

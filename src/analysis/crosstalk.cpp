@@ -78,7 +78,8 @@ struct WalkFactors {
 /// per-node device lookups go through the context's DeviceIndex — O(1) per
 /// node instead of a rescan of the waveguide's signal list — and the
 /// attenuation factors come from WalkFactors, applied in the exact
-/// operation order of the brute-force walk (see analysis/reference.cpp).
+/// operation order of the brute-force walk (the test oracle in
+/// tests/oracle/analysis_reference.cpp).
 void walk_ring_noise(const AnalysisContext& ctx, const WalkFactors& f, int w,
                      NodeId at, int wavelength, double power_mw,
                      NoiseSink& sink) {

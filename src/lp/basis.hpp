@@ -22,14 +22,13 @@ struct FactorStats {
 
 /// Representation of the simplex basis matrix B (column i = A[basis[i]]).
 ///
-/// Two implementations exist:
-///  - DenseInverseBasis keeps the explicit m*m inverse (the original kernel;
-///    O(m^2) memory and per-pivot work). Retained as the differential-test
-///    reference and selectable via SolveOptions::kernel.
-///  - SparseLuBasis keeps a Markowitz-ordered sparse LU factorization plus a
-///    product-form eta file, refactorizing periodically. Memory and per-pivot
-///    work scale with fill-in, not m^2 — this is what lets the
-///    ring-construction MILP reach 64-128 node instances.
+/// The production implementation, SparseLuBasis, keeps a Markowitz-ordered
+/// sparse LU factorization plus a product-form eta file, refactorizing
+/// periodically. Memory and per-pivot work scale with fill-in, not m^2 —
+/// this is what lets the ring-construction MILP reach 64-128 node
+/// instances. The original explicit-inverse kernel lives in the test
+/// oracles (tests/oracle/lp_reference.hpp) and runs through
+/// lp::detail::solve.
 ///
 /// Index spaces: "row" means an original constraint row, "slot" means a
 /// basis position (slot i holds column basis[i]). ftran maps a column from
@@ -71,10 +70,6 @@ class BasisRep {
 
   FactorStats stats;
 };
-
-/// The original explicit-inverse kernel (bit-identical arithmetic to the
-/// pre-sparse solver); O(m^2) memory.
-std::unique_ptr<BasisRep> make_dense_basis(int m);
 
 /// Markowitz sparse LU + product-form eta updates + periodic
 /// refactorization.

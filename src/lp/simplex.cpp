@@ -65,6 +65,11 @@ void Problem::set_bounds(int var, double lo, double hi) {
 
 namespace {
 
+/// Pivot-loop pass cap per solve (primal and dual passes together).
+constexpr int kMaxIterations = 200000;
+/// Feasibility and optimality tolerance of the pivoting rules.
+constexpr double kTolerance = 1e-8;
+
 /// Where a nonbasic variable currently rests.
 enum class At { kLower, kUpper, kBasic };
 
@@ -432,11 +437,6 @@ double objective_value(const State& s, const std::vector<double>& cost) {
   return v;
 }
 
-std::unique_ptr<BasisRep> make_rep(Kernel kernel, int m) {
-  return kernel == Kernel::kDenseInverse ? make_dense_basis(m)
-                                         : make_sparse_lu_basis(m);
-}
-
 /// Builds the internal column space (structurals, slacks, one artificial per
 /// row) and the crash basis: every inequality row whose slack starts
 /// feasible gets its slack basic; only the remaining rows (equalities and
@@ -444,10 +444,10 @@ std::unique_ptr<BasisRep> make_rep(Kernel kernel, int m) {
 /// artificial. Fewer basic artificials means phase 1 starts closer to
 /// feasibility — on the ring-construction models only the 2n assignment
 /// equalities need artificials, not the O(n^2) two-cycle rows.
-void build_state(const Problem& p, const SolveOptions& options, State& s) {
+void build_state(const Problem& p, detail::BasisFactory make_basis, State& s) {
   s.m = p.num_constraints();
   s.n_struct = p.num_variables();
-  s.tol = options.tolerance;
+  s.tol = kTolerance;
   s.b = p.rhs();
 
   // Structural columns.
@@ -528,7 +528,7 @@ void build_state(const Problem& p, const SolveOptions& options, State& s) {
     }
   }
 
-  s.rep = make_rep(options.kernel, s.m);
+  s.rep = make_basis(s.m);
 }
 
 /// Fixes every artificial at zero (phase-2 semantics).
@@ -587,9 +587,9 @@ void finalize_solution(State& s, const Problem& p, const SolveOptions& options,
 }
 
 Solution solve_cold(const Problem& p, const SolveOptions& options,
-                    SolveStats carry) {
+                    detail::BasisFactory make_basis, SolveStats carry) {
   State s;
-  build_state(p, options, s);
+  build_state(p, make_basis, s);
   Solution out;
   out.stats = carry;
 
@@ -603,7 +603,7 @@ Solution solve_cold(const Problem& p, const SolveOptions& options,
     // Phase 1: minimize the sum of artificials.
     s.cost.assign(s.n, 0.0);
     for (int i = 0; i < s.m; ++i) s.cost[s.first_artificial + i] = 1.0;
-    Status st = iterate(s, out.iterations, options.max_iterations);
+    Status st = iterate(s, out.iterations, kMaxIterations);
     if (st == Status::kIterationLimit) {
       out.status = st;
       collect_stats(s, out);
@@ -621,7 +621,7 @@ Solution solve_cold(const Problem& p, const SolveOptions& options,
   fix_artificials(s);
   s.cost = s.real_cost;
   recompute_basics(s);
-  Status st = iterate(s, out.iterations, options.max_iterations);
+  Status st = iterate(s, out.iterations, kMaxIterations);
   collect_stats(s, out);
   if (st != Status::kOptimal) {
     out.status = st == Status::kUnbounded ? Status::kUnbounded : st;
@@ -644,9 +644,10 @@ Solution solve_cold(const Problem& p, const SolveOptions& options,
 /// and the extended basis is still dual feasible; only the new basic slacks
 /// can violate their bounds, which is exactly what the dual simplex repairs.
 bool solve_warm(const Problem& p, const SolveOptions& options,
-                const WarmBasis& warm, Solution& out) {
+                detail::BasisFactory make_basis, const WarmBasis& warm,
+                Solution& out) {
   State s;
-  build_state(p, options, s);
+  build_state(p, make_basis, s);
   if (warm.structurals != s.n_struct || warm.rows > s.m) return false;
 
   // The snapshot's internal layout: structurals, then one slack per non-Eq
@@ -706,7 +707,7 @@ bool solve_warm(const Problem& p, const SolveOptions& options,
 
   out.stats.warm = true;
   const int dual_cap = 200 + 2 * s.m;
-  Status st = dual_iterate(s, out.iterations, options.max_iterations, dual_cap,
+  Status st = dual_iterate(s, out.iterations, kMaxIterations, dual_cap,
                            out.stats.dual_pivots);
   if (st == Status::kInfeasible) {
     out.status = Status::kInfeasible;
@@ -715,7 +716,7 @@ bool solve_warm(const Problem& p, const SolveOptions& options,
   }
   if (st != Status::kOptimal) return false;  // fall back to the cold path
 
-  st = iterate(s, out.iterations, options.max_iterations);
+  st = iterate(s, out.iterations, kMaxIterations);
   collect_stats(s, out);
   if (st == Status::kUnbounded) {
     out.status = Status::kUnbounded;
@@ -726,18 +727,21 @@ bool solve_warm(const Problem& p, const SolveOptions& options,
   return true;
 }
 
-Solution solve_impl(const Problem& p, const SolveOptions& options) {
+Solution solve_impl(const Problem& p, const SolveOptions& options,
+                    detail::BasisFactory make_basis) {
   if (options.warm_start != nullptr && options.warm_start->valid()) {
     Solution out;
-    if (solve_warm(p, options, *options.warm_start, out)) return out;
+    if (solve_warm(p, options, make_basis, *options.warm_start, out)) {
+      return out;
+    }
     // The failed attempt's kernel work still happened; carry its counters
     // into the cold solve so the metrics stay truthful.
     SolveStats carry = out.stats;
     carry.warm = false;
     carry.dual_pivots = 0;
-    return solve_cold(p, options, carry);
+    return solve_cold(p, options, make_basis, carry);
   }
-  return solve_cold(p, options, {});
+  return solve_cold(p, options, make_basis, {});
 }
 
 /// Records the `lp.*` obs metrics for one completed solve.
@@ -770,11 +774,20 @@ void record_solve_metrics(const Solution& out) {
 }  // namespace
 
 Solution solve(const Problem& p, const SolveOptions& options) {
+  return detail::solve(p, options, &make_sparse_lu_basis);
+}
+
+namespace detail {
+
+Solution solve(const Problem& p, const SolveOptions& options,
+               BasisFactory make_basis) {
   obs::Span span("lp.solve");
-  Solution out = solve_impl(p, options);
+  Solution out = solve_impl(p, options, make_basis);
   out.stats.rows = p.num_constraints();
   record_solve_metrics(out);
   return out;
 }
+
+}  // namespace detail
 
 }  // namespace xring::lp

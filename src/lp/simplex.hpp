@@ -2,10 +2,13 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 namespace xring::lp {
+
+class BasisRep;
 
 /// Direction of a linear constraint.
 enum class Sense { kLe, kGe, kEq };
@@ -23,8 +26,8 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 ///   subject to a_i'x  (<= | >= | =)  b_i      for every row i
 ///              lo_j <= x_j <= hi_j            for every variable j
 ///
-/// Columns are stored sparsely; the solver is a revised primal simplex with
-/// explicit basis inverse and full bounded-variable support (nonbasic
+/// Columns are stored sparsely; the solver is a revised simplex on a sparse
+/// LU of the basis with full bounded-variable support (nonbasic
 /// variables rest at either bound, bound flips are handled without pivots).
 /// This is the substrate that replaces Gurobi for the XRing MILP model.
 class Problem {
@@ -72,14 +75,6 @@ class Problem {
   bool maximize_ = false;
 };
 
-/// Basis representation used by the solver. kSparseLu (the default) keeps a
-/// Markowitz-ordered sparse LU of the basis with product-form eta updates
-/// and periodic refactorization — memory and per-pivot cost scale with
-/// fill-in. kDenseInverse is the original explicit m*m inverse, retained as
-/// a differential-testing reference (O(m^2) memory; unusable at the 64-128
-/// node ring-construction sizes).
-enum class Kernel { kSparseLu, kDenseInverse };
-
 /// An opaque snapshot of an optimal simplex basis, exported via
 /// SolveOptions::export_basis and fed back through SolveOptions::warm_start.
 /// Valid only for a problem with the same constraint rows, senses, and
@@ -108,9 +103,6 @@ struct SolveStats {
 };
 
 struct SolveOptions {
-  int max_iterations = 200000;
-  double tolerance = 1e-8;
-  Kernel kernel = Kernel::kSparseLu;
   /// Optional basis to warm-start from (see WarmBasis). Ignored when its
   /// dimensions do not match the problem. A warm solve skips phase 1
   /// entirely: it refactorizes the given basis and runs the bounded-variable
@@ -141,7 +133,24 @@ struct Solution {
 
 /// Solves the LP with a revised bounded-variable simplex: two-phase primal
 /// from a slack/artificial crash basis, or dual simplex from
-/// SolveOptions::warm_start when one is supplied.
+/// SolveOptions::warm_start when one is supplied. The basis is kept as a
+/// Markowitz-ordered sparse LU with product-form eta updates and periodic
+/// refactorization (lp/basis.hpp), so memory and per-pivot cost scale with
+/// fill-in. At most 200 000 pivot passes per solve (then kIterationLimit);
+/// pivoting tolerance 1e-8.
 Solution solve(const Problem& problem, const SolveOptions& options = {});
+
+namespace detail {
+
+/// Builds the basis representation of an m-row problem.
+using BasisFactory = std::unique_ptr<BasisRep> (*)(int m);
+
+/// solve() on the basis representation `make_basis` builds instead of the
+/// sparse LU: the seam the differential tests run a reference kernel
+/// through.
+Solution solve(const Problem& problem, const SolveOptions& options,
+               BasisFactory make_basis);
+
+}  // namespace detail
 
 }  // namespace xring::lp

@@ -34,6 +34,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// A binary within this distance of 0 or 1 counts as integral.
+constexpr double kIntegralityTolerance = 1e-6;
+/// Cut separation budget: rounds per node, and the node depth past which
+/// separation stops (deep nodes rarely produce globally useful cuts).
+constexpr int kMaxCutRounds = 8;
+constexpr int kCutDepthLimit = 8;
+
 /// A search node is the list of branching decisions that produced it plus the
 /// LP bound of its parent (used as the best-first priority).
 struct Node {
@@ -199,7 +206,7 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
   if (options.warm_start &&
       static_cast<int>(options.warm_start->size()) == model.num_variables() &&
       satisfies(model, *options.warm_start) &&
-      is_integral(model, *options.warm_start, options.integrality_tolerance)) {
+      is_integral(model, *options.warm_start, kIntegralityTolerance)) {
     std::vector<Constraint> cuts;
     if (options.lazy_handler) cuts = options.lazy_handler(*options.warm_start);
     if (cuts.empty()) {
@@ -299,7 +306,7 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
     const double bound = rel.objective;  // minimization sense (normalized)
     if (lattice.lift(bound) >= incumbent_obj - 1e-9) continue;
 
-    if (is_integral(model, rel.x, options.integrality_tolerance)) {
+    if (is_integral(model, rel.x, kIntegralityTolerance)) {
       // Round exactly-integral values to kill drift before the lazy check.
       for (int v = 0; v < model.num_variables(); ++v) {
         if (model.type(v) == VarType::kBinary) rel.x[v] = std::round(rel.x[v]);
@@ -331,8 +338,8 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
     // to tighten the relaxation before committing to a branch. Cuts ride the
     // exact machinery lazy rows use — append globally, requeue the node on
     // its warm basis.
-    if (options.cut_separator && node.cut_rounds < options.max_cut_rounds &&
-        node.depth <= options.cut_depth_limit) {
+    if (options.cut_separator && node.cut_rounds < kMaxCutRounds &&
+        node.depth <= kCutDepthLimit) {
       std::vector<Constraint> cuts = options.cut_separator(rel.x);
       cuts.erase(std::remove_if(cuts.begin(), cuts.end(),
                                 [](const Constraint& c) {
@@ -357,7 +364,7 @@ MipResult solve_impl(const Model& model, const BnbOptions& options) {
 
     // Branch on the most fractional binary variable.
     int branch_var = -1;
-    double best_frac = options.integrality_tolerance;
+    double best_frac = kIntegralityTolerance;
     for (int v = 0; v < model.num_variables(); ++v) {
       if (model.type(v) != VarType::kBinary) continue;
       const double f = std::abs(rel.x[v] - std::round(rel.x[v]));

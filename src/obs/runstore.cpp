@@ -447,7 +447,15 @@ RunRecord RunStore::load(const std::string& id_or_path) const {
   } else {
     path = id_or_path;
   }
-  RunRecord rec = parse_run_record(read_file(path.string()));
+  const std::string text = read_file(path.string());
+  RunRecord rec;
+  if (parse_json(text).find("schema") != nullptr) {
+    rec = parse_run_record(text);
+  } else {
+    // A flat metrics report (BENCH_*.json): metrics only, named by path.
+    rec.id = id_or_path;
+    rec.metrics = metrics_from_json(text);
+  }
   rec.dir = path.parent_path().string();
   return rec;
 }

@@ -10,9 +10,10 @@
 namespace xring::obs {
 
 // ---------------------------------------------------------------------------
-// Metric gate classes — the single source of truth shared by
-// tools/bench_compare (the CI regression gate) and the cross-run diff
-// below, so `xring_runs diff` reproduces the gate's classification exactly.
+// Metric gate classes — the single source of truth of the regression gate
+// `xring_runs diff` applies to run records and BENCH_*.json reports alike
+// (docs/OBSERVABILITY.md, "Bench regression gate", documents the classes at
+// length).
 
 enum class MetricClass {
   kQuality,         ///< gated tight in both directions (losses, powers, counts)
@@ -24,8 +25,7 @@ enum class MetricClass {
 
 const char* to_string(MetricClass c);
 
-/// Classifies one flat metric name. The rules (documented at length in
-/// tools/bench_compare.cpp) in precedence order: `*.iterations`/`*.t_us`
+/// Classifies one flat metric name. The rules in precedence order: `*.iterations`/`*.t_us`
 /// are ignored; the solver-internal trajectory counters (`lp.pivots`,
 /// `lp.iterations.*`, `lp.refactorizations`, `lp.eta_nnz`,
 /// `lp.ftran_density.*`, `milp.warm_pivots`, `milp.cold_solves`) float;
@@ -130,7 +130,11 @@ class RunStore {
   /// Index entries in append order (empty when no index exists yet).
   std::vector<IndexEntry> list() const;
 
-  /// Loads a record by store id, run-directory path, or run.json path.
+  /// Loads a record by store id, run-directory path, or file path. A file
+  /// whose root object has no "schema" key is read as a flat metrics report
+  /// (the `{"name": number|null}` BENCH_*.json files): a record holding only
+  /// those metrics, with the given path as its id. Throws
+  /// std::invalid_argument on a file that is neither.
   RunRecord load(const std::string& id_or_path) const;
 
  private:
@@ -160,7 +164,7 @@ struct RunDiff {
   int one_sided = 0;    ///< keys present in only one run
 };
 
-/// Diffs two records under the bench_compare gate. `only_prefix` restricts
+/// Diffs two records under the regression gate. `only_prefix` restricts
 /// the comparison (and the one-sided accounting) to names with that prefix.
 RunDiff diff_runs(const RunRecord& a, const RunRecord& b,
                   const GateOptions& gate = {},
@@ -170,7 +174,7 @@ RunDiff diff_runs(const RunRecord& a, const RunRecord& b,
 std::string run_diff_json(const RunDiff& d);
 
 /// One self-contained HTML page: environment side-by-side, gated metric
-/// deltas classed like bench_compare, the span-tree time diff, and the
+/// deltas with their gate class, the span-tree time diff, and the
 /// memory-by-phase diff. Inline CSS only, archivable as-is.
 std::string run_diff_html(const RunDiff& d);
 

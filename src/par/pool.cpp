@@ -1,6 +1,11 @@
 #include "par/pool.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdlib>
+#include <exception>
+#include <memory>
 
 #include "obs/context.hpp"
 #include "obs/obs.hpp"
@@ -9,18 +14,25 @@ namespace xring::par {
 
 namespace {
 
-/// Which pool (if any) the current thread is a worker of, and its queue
-/// index there. Lets submit() route a worker's own spawns to its own deque.
-thread_local ThreadPool* t_pool = nullptr;
-thread_local std::size_t t_queue = 0;
+constexpr long kMaxJobs = 512;
 
+/// XRING_JOBS as a whole integer >= 1 (clamped to kMaxJobs), or 0 when it is
+/// unset, empty or malformed. A malformed value is diagnosed, not guessed
+/// at: "8abc" is not 8.
 int env_jobs() {
   const char* s = std::getenv("XRING_JOBS");
   if (s == nullptr || *s == '\0') return 0;
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(s, &end, 10);
-  if (end == s || v < 1) return 0;
-  return static_cast<int>(std::min(v, 512L));
+  if (end == s || *end != '\0' || errno == ERANGE || v < 1) {
+    obs::diagnose(obs::Severity::kWarning, "par.bad_jobs_env",
+                  std::string("XRING_JOBS='") + s +
+                      "' is not a whole number >= 1; using hardware sizing",
+                  {{"value", s}});
+    return 0;
+  }
+  return static_cast<int>(std::min(v, kMaxJobs));
 }
 
 }  // namespace
@@ -31,139 +43,74 @@ int hardware_jobs() {
 }
 
 int resolve_jobs(int requested) {
-  if (requested > 0) return std::min(requested, 512);
+  if (requested > 0) return std::min(requested, static_cast<int>(kMaxJobs));
   const int env = env_jobs();
   if (env > 0) return env;
   return hardware_jobs();
 }
 
 ThreadPool::ThreadPool(int jobs) : jobs_(resolve_jobs(jobs)) {
-  queues_.reserve(static_cast<std::size_t>(jobs_));
-  for (int q = 0; q < jobs_; ++q) queues_.push_back(std::make_unique<Queue>());
   threads_.reserve(static_cast<std::size_t>(jobs_ - 1));
   for (int w = 0; w < jobs_ - 1; ++w) {
-    threads_.emplace_back([this, w] { worker_loop(static_cast<std::size_t>(w)); });
+    threads_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true, std::memory_order_relaxed);
   {
-    // Pairs with the wait in worker_loop: taking the mutex here guarantees no
-    // worker is between its predicate check and going to sleep.
-    std::lock_guard<std::mutex> lk(sleep_mu_);
+    std::lock_guard<std::mutex> lk(mu_);
+    stop_ = true;
   }
-  sleep_cv_.notify_all();
+  cv_.notify_all();
   for (std::thread& t : threads_) t.join();
-  // Anything still queued (e.g. submitted after workers started exiting)
-  // runs here, so no waiter is left behind.
-  while (try_run_one()) {
+  // A 1-job pool has no worker to run what was submitted to it.
+  while (!tasks_.empty()) {
+    std::function<void()> task = std::move(tasks_.front());
+    tasks_.pop_front();
+    task();
   }
 }
 
 void ThreadPool::submit(std::function<void()> task) {
   // Capture the submitter's observability context (nullptr = root) and
-  // install it around the task body, so whichever thread eventually runs
-  // the task — a pool worker, or an unrelated thread helping while it
-  // waits — records the task's spans/metrics/events into the run that
-  // submitted it. The root path stays wrapper-free: single-run behavior is
-  // byte-identical to the pre-context pool.
+  // install it around the task body, so the worker that runs the task
+  // records its spans/metrics/events into the run that submitted it. The
+  // root path stays wrapper-free.
   if (obs::Context* ctx = obs::current_context()) {
     task = [ctx, inner = std::move(task)] {
       obs::ScopedContext scope(*ctx);
       inner();
     };
   }
-  const std::size_t q =
-      (t_pool == this) ? t_queue : 0;  // 0 = shared injection queue
+  std::size_t depth = 0;
   {
-    std::lock_guard<std::mutex> lk(queues_[q]->mu);
-    queues_[q]->tasks.push_back(std::move(task));
+    std::lock_guard<std::mutex> lk(mu_);
+    tasks_.push_back(std::move(task));
+    depth = tasks_.size();
   }
-  const long depth = pending_.fetch_add(1, std::memory_order_release) + 1;
+  cv_.notify_one();
   if (obs::enabled()) {
     obs::Registry& reg = obs::registry();
     reg.counter("par.tasks").add();
     reg.histogram("par.queue_depth").observe(static_cast<double>(depth));
   }
-  {
-    std::lock_guard<std::mutex> lk(sleep_mu_);
-  }
-  sleep_cv_.notify_one();
 }
 
-bool ThreadPool::pop_from(std::size_t q, bool steal, std::function<void()>& task) {
-  Queue& queue = *queues_[q];
-  std::lock_guard<std::mutex> lk(queue.mu);
-  if (queue.tasks.empty()) return false;
-  if (steal) {
-    task = std::move(queue.tasks.front());
-    queue.tasks.pop_front();
-  } else {
-    task = std::move(queue.tasks.back());
-    queue.tasks.pop_back();
-  }
-  return true;
-}
-
-bool ThreadPool::next_task(std::size_t self, std::function<void()>& task) {
-  // Own deque, newest first.
-  if (self > 0 && pop_from(self, /*steal=*/false, task)) {
-    pending_.fetch_sub(1, std::memory_order_relaxed);
-    return true;
-  }
-  // Shared injection queue, oldest first.
-  if (pop_from(0, /*steal=*/true, task)) {
-    pending_.fetch_sub(1, std::memory_order_relaxed);
-    return true;
-  }
-  // Steal from the other workers, oldest first.
-  for (std::size_t off = 1; off < queues_.size(); ++off) {
-    const std::size_t victim = 1 + (self + off - 1) % (queues_.size() - 1);
-    if (victim == self) continue;
-    if (pop_from(victim, /*steal=*/true, task)) {
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      if (obs::enabled()) obs::registry().counter("par.steals").add();
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ThreadPool::try_run_one() {
-  const std::size_t self = (t_pool == this) ? t_queue : 0;
-  std::function<void()> task;
-  if (!next_task(self, task)) return false;
-  task();
-  return true;
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
-  t_pool = this;
-  t_queue = self + 1;  // queue 0 is the injection queue
+void ThreadPool::worker_loop() {
   // Root the phase sampler's stacks for pool threads: samples taken while a
   // worker runs tasks fold under "par.worker" instead of an anonymous tid.
   obs::set_thread_label("par.worker");
-  std::function<void()> task;
   for (;;) {
-    if (next_task(t_queue, task)) {
-      task();
-      task = nullptr;  // release captures before sleeping
-      continue;
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lk(mu_);
+      cv_.wait(lk, [this] { return stop_ || !tasks_.empty(); });
+      if (tasks_.empty()) return;  // stopping, and nothing left to drain
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    std::unique_lock<std::mutex> lk(sleep_mu_);
-    if (stop_.load(std::memory_order_relaxed)) break;
-    sleep_cv_.wait(lk, [this] {
-      return stop_.load(std::memory_order_relaxed) ||
-             pending_.load(std::memory_order_acquire) > 0;
-    });
-    if (stop_.load(std::memory_order_relaxed) &&
-        pending_.load(std::memory_order_acquire) <= 0) {
-      break;
-    }
+    task();
   }
-  t_pool = nullptr;
-  t_queue = 0;
 }
 
 namespace {
@@ -196,6 +143,27 @@ int effective_jobs() {
 
 namespace detail {
 
+namespace {
+
+/// Shared state of one parallel_for. A helper task that runs after the loop
+/// finished sees the cursor exhausted and returns without touching the (by
+/// then dead) body.
+struct ForState {
+  long begin = 0;
+  long end = 0;
+  long grain = 1;
+  long chunks = 0;
+  std::function<void(long, long)> run_range;  // [lo, hi)
+  std::atomic<long> next{0};
+  std::atomic<long> done{0};
+  std::mutex mu;
+  std::condition_variable cv;
+  std::atomic<bool> failed{false};
+  long failed_chunk = -1;  // lowest failing chunk wins (deterministic rethrow)
+  std::exception_ptr error;
+};
+
+/// Claims and runs chunks until none is left.
 void drive(const std::shared_ptr<ForState>& st) {
   for (;;) {
     const long c = st->next.fetch_add(1, std::memory_order_relaxed);
@@ -222,20 +190,33 @@ void drive(const std::shared_ptr<ForState>& st) {
   }
 }
 
-void run_for(ThreadPool& pool, const std::shared_ptr<ForState>& st) {
-  const long helpers =
-      std::min<long>(pool.workers(), st->chunks - 1);
+}  // namespace
+
+void run_for(ThreadPool& pool, long begin, long end, long grain,
+             const std::function<void(long, long)>& run_range) {
+  if (end <= begin) return;
+  if (grain < 1) grain = 1;
+  const long chunks = (end - begin + grain - 1) / grain;
+  if (pool.workers() == 0 || chunks <= 1) {
+    run_range(begin, end);  // serial, in order
+    return;
+  }
+  auto st = std::make_shared<ForState>();
+  st->begin = begin;
+  st->end = end;
+  st->grain = grain;
+  st->chunks = chunks;
+  st->run_range = run_range;
+  const long helpers = std::min<long>(pool.workers(), chunks - 1);
   for (long h = 0; h < helpers; ++h) {
     pool.submit([st] { drive(st); });
   }
   drive(st);
-  // The caller ran out of chunks to claim; others may still be running
-  // theirs. Help with unrelated pool work while waiting (nested loops).
-  while (st->done.load(std::memory_order_acquire) != st->chunks) {
-    if (pool.try_run_one()) continue;
+  // Every chunk is claimed; wait for the ones other threads are running.
+  {
     std::unique_lock<std::mutex> lk(st->mu);
-    st->cv.wait_for(lk, std::chrono::milliseconds(1), [&] {
-      return st->done.load(std::memory_order_acquire) == st->chunks;
+    st->cv.wait(lk, [&] {
+      return st->done.load(std::memory_order_acquire) == chunks;
     });
   }
   if (st->error) std::rethrow_exception(st->error);

@@ -1,42 +1,33 @@
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
-#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace xring::par {
 
-/// A small work-stealing thread pool.
+/// A small thread pool: `jobs - 1` background workers taking tasks from one
+/// mutex-guarded FIFO. The pool's *jobs* count is the total concurrency it
+/// represents — the workers plus the thread that drives work into it
+/// (parallel_for executes chunks on the calling thread), so a 1-job pool
+/// spawns no threads and runs everything inline.
 ///
-/// Each worker owns a deque: it pushes and pops its own work LIFO (hot in
-/// cache) and steals FIFO from the other end of a victim's deque when it runs
-/// dry. Tasks submitted from outside the pool land in a shared injection
-/// queue that workers drain like any other victim. The pool's *jobs* count is
-/// the total concurrency it represents — `jobs - 1` background workers plus
-/// the thread that drives work into it (parallel_for executes chunks on the
-/// calling thread), so a 1-job pool spawns no threads and runs everything
-/// inline.
-///
-/// Destruction finishes: workers drain every queued task before exiting, and
-/// whatever is still queued after they are joined runs on the destructing
-/// thread. Steal counts and queue depth are recorded into the obs registry
-/// (`par.steals`, `par.tasks`, `par.queue_depth`) when tracing is enabled.
+/// Destruction finishes: workers drain every queued task before exiting,
+/// and whatever is still queued after they are joined runs on the
+/// destructing thread. Task counts and queue depth are recorded into the obs
+/// registry (`par.tasks`, `par.queue_depth`) when tracing is enabled.
 ///
 /// Observability contexts propagate across the pool boundary: submit()
 /// captures the submitting thread's installed obs::Context (obs/context.hpp)
 /// and installs it in the executing thread for exactly the task's duration.
 /// parallel_for funnels through submit(), so two runs scoped in different
 /// contexts can share one pool and still record into fully disjoint
-/// registries — including when one run's blocked thread helps execute the
-/// other run's tasks. The submitter's context must outlive its tasks;
-/// parallel_for waits for its tasks, so a context scoped around the
-/// parallel section (or the whole synthesis call) always satisfies that.
+/// registries. The submitter's context must outlive its tasks; parallel_for
+/// waits for its tasks, so a context scoped around the parallel section (or
+/// the whole synthesis call) always satisfies that.
 class ThreadPool {
  public:
   /// `jobs <= 0` resolves to resolve_jobs(0) (XRING_JOBS env, then
@@ -52,42 +43,27 @@ class ThreadPool {
   /// Background worker threads only (jobs() - 1).
   int workers() const { return static_cast<int>(threads_.size()); }
 
-  /// Enqueues a task. From a worker of this pool the task goes to that
-  /// worker's own deque (LIFO); otherwise to the shared injection queue.
+  /// Appends a task to the queue; the next idle worker runs it.
   void submit(std::function<void()> task);
 
-  /// Runs one pending task on the calling thread, if any is queued.
-  /// Blocked waiters use this to help instead of idling, which also makes
-  /// nested parallel sections deadlock-free.
-  bool try_run_one();
-
  private:
-  struct Queue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
-
-  void worker_loop(std::size_t self);
-  /// Pops from queue `q`; `steal` takes the FIFO end, own-pop the LIFO end.
-  bool pop_from(std::size_t q, bool steal, std::function<void()>& task);
-  /// Own deque first, then the injection queue, then steal round-robin.
-  bool next_task(std::size_t self, std::function<void()>& task);
+  void worker_loop();
 
   int jobs_ = 1;
-  // queues_[0] is the injection queue; queues_[1 + i] belongs to worker i.
-  std::vector<std::unique_ptr<Queue>> queues_;
   std::vector<std::thread> threads_;
-  std::mutex sleep_mu_;
-  std::condition_variable sleep_cv_;
-  std::atomic<long> pending_{0};
-  std::atomic<bool> stop_{false};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<std::function<void()>> tasks_;
+  bool stop_ = false;
 };
 
 /// Effective hardware parallelism (>= 1 even when unknown).
 int hardware_jobs();
 
 /// Resolves a jobs request: explicit `requested` > 0 wins, then the
-/// XRING_JOBS environment variable, then hardware_jobs().
+/// XRING_JOBS environment variable, then hardware_jobs(). XRING_JOBS must be
+/// a whole integer >= 1; anything else is diagnosed (`par.bad_jobs_env`)
+/// and ignored. Both sources are clamped to 512.
 int resolve_jobs(int requested);
 
 /// The process-wide pool. Created on first use with resolve_jobs(0) unless
@@ -103,58 +79,33 @@ int effective_jobs();
 
 namespace detail {
 
-/// Shared state of one parallel_for: chunks are claimed with an atomic
-/// counter, so any mix of caller and helper threads makes progress, and a
-/// helper task that runs after the loop finished sees the counter exhausted
-/// and returns without touching the (by then dead) body.
-struct ForState {
-  long begin = 0;
-  long end = 0;
-  long grain = 1;
-  long chunks = 0;
-  std::atomic<long> next{0};
-  std::atomic<long> done{0};
-  std::function<void(long, long)> run_range;  // [lo, hi)
-  std::mutex mu;
-  std::condition_variable cv;
-  std::atomic<bool> failed{false};
-  long failed_chunk = -1;  // lowest failing chunk wins (deterministic rethrow)
-  std::exception_ptr error;
-};
-
-void drive(const std::shared_ptr<ForState>& st);
-void run_for(ThreadPool& pool, const std::shared_ptr<ForState>& st);
+/// Runs `run_range` over grain-sized chunks of [begin, end); see
+/// parallel_for.
+void run_for(ThreadPool& pool, long begin, long end, long grain,
+             const std::function<void(long, long)>& run_range);
 
 }  // namespace detail
 
 /// Calls `body(i)` for every i in [begin, end), possibly concurrently.
-/// Iterations are grouped into `grain`-sized chunks; the calling thread
-/// participates, so the loop completes even on a 1-job pool (where it runs
-/// perfectly serially, in order). If any invocation throws, remaining chunks
-/// are abandoned and the exception from the lowest-indexed failing chunk is
+/// Iterations are grouped into `grain`-sized chunks claimed through one
+/// atomic cursor by the calling thread and up to jobs() - 1 helper tasks,
+/// so the loop completes even on a 1-job pool (where it runs perfectly
+/// serially, in order). If any invocation throws, remaining chunks are
+/// abandoned and the exception from the lowest-indexed failing chunk is
 /// rethrown on the caller.
+///
+/// Nested loops complete without help from the pool: the caller keeps
+/// claiming chunks until none is left and then waits only for chunks other
+/// threads are already running, so an inner loop whose helpers never get a
+/// worker simply runs on the thread that started it.
 template <class Body>
 void parallel_for(ThreadPool& pool, long begin, long end, Body&& body,
                   long grain = 1) {
-  if (end <= begin) return;
-  if (grain < 1) grain = 1;
-  const long n = end - begin;
-  const long chunks = (n + grain - 1) / grain;
-  if (pool.workers() == 0 || chunks <= 1) {
-    for (long i = begin; i < end; ++i) body(i);
-    return;
-  }
-  auto st = std::make_shared<detail::ForState>();
-  st->begin = begin;
-  st->end = end;
-  st->grain = grain;
-  st->chunks = chunks;
-  // Safe to capture the body by reference: every valid chunk is claimed and
-  // finished before run_for returns, and late helper tasks never reach it.
-  st->run_range = [&body](long lo, long hi) {
+  // Safe to capture the body by reference: run_for returns only after every
+  // claimed chunk finished, and late helper tasks never reach it.
+  detail::run_for(pool, begin, end, grain, [&body](long lo, long hi) {
     for (long i = lo; i < hi; ++i) body(i);
-  };
-  detail::run_for(pool, st);
+  });
 }
 
 }  // namespace xring::par

@@ -165,10 +165,4 @@ void write_parameters(const Parameters& params, std::ostream& out) {
       << (params.crosstalk.residue_filter ? "true" : "false") << "\n";
 }
 
-void save_parameters(const Parameters& params, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write parameter file: " + path);
-  write_parameters(params, out);
-}
-
 }  // namespace xring::phys

@@ -31,6 +31,5 @@ Parameters load_parameters(const std::string& path,
                            Parameters base = Parameters::oring());
 
 void write_parameters(const Parameters& params, std::ostream& out);
-void save_parameters(const Parameters& params, const std::string& path);
 
 }  // namespace xring::phys

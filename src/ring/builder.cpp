@@ -34,11 +34,8 @@ RingBuildResult build_ring(const netlist::Floorplan& floorplan,
     // Budgeted mode: skip both the all-starts heuristic and the full-size
     // exact MILP; the LNS runs its own construction and repairs windows
     // with exact sub-MILPs until the schedule (or the budget) ends.
-    LnsOptions lns;
-    lns.budget_seconds = options.lns_budget_seconds;
-    lns.seed = options.lns_seed;
-    lns.window = options.lns_window;
-    const LnsResult search = lns_tour(floorplan, oracle, lns);
+    const LnsResult search =
+        lns_tour(floorplan, oracle, options.lns_budget_seconds);
     tour_order = search.order;
     result.mip_status = milp::MipStatus::kFeasible;
     result.lns_repairs = search.repairs_accepted;
@@ -97,7 +94,7 @@ RingBuildResult build_ring(const netlist::Floorplan& floorplan,
     // length.
     auto cost = [&](const std::vector<NodeId>& t) {
       return tour_length(t, floorplan) +
-             HeuristicOptions{}.conflict_penalty * tour_conflicts(t, oracle);
+             kConflictPenalty * tour_conflicts(t, oracle);
     };
     if (cost(heuristic) < cost(tour_order)) tour_order = heuristic;
   }

@@ -18,8 +18,6 @@ struct RingBuildOptions {
   /// optimality gap. Deterministic for a fixed (seed, window) whenever the
   /// repair schedule completes inside the budget, independent of --jobs.
   double lns_budget_seconds = 0.0;
-  unsigned lns_seed = 1;
-  int lns_window = 12;
 };
 
 /// Outcome of Step 1: the realized ring plus solver diagnostics.

@@ -74,12 +74,18 @@ geom::Coord offset_gcd(const netlist::Floorplan& floorplan,
 
 namespace {
 
+/// The budgeted LNS's fixed schedule (see LnsResult): LCG seed, window
+/// width, repair attempts per node and node budget per repair MILP.
+constexpr unsigned kLnsSeed = 1;
+constexpr int kLnsWindow = 12;
+constexpr int kLnsAttemptsPerNode = 4;
+constexpr long kLnsRepairNodeLimit = 400;
+
 geom::Coord penalized_cost(const std::vector<NodeId>& order,
                            const netlist::Floorplan& floorplan,
-                           const ConflictOracle& oracle,
-                           const HeuristicOptions& opt) {
+                           const ConflictOracle& oracle) {
   return tour_length(order, floorplan) +
-         opt.conflict_penalty * tour_conflicts(order, oracle);
+         kConflictPenalty * tour_conflicts(order, oracle);
 }
 
 /// Nearest-neighbour construction from one start node (lowest-id tie-break).
@@ -112,7 +118,7 @@ std::vector<NodeId> nearest_neighbour_from(const netlist::Floorplan& floorplan,
 }  // namespace
 
 void two_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
-             const ConflictOracle& oracle, const HeuristicOptions& options) {
+             const ConflictOracle& oracle) {
   const int n = static_cast<int>(order.size());
   if (n < 3) return;
   // Running penalized state, maintained exactly (integer µm and counts):
@@ -121,9 +127,9 @@ void two_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
   // full re-evaluation of every candidate.
   geom::Coord length = tour_length(order, floorplan);
   long long conflicts = tour_conflicts(order, oracle);
-  const geom::Coord penalty = options.conflict_penalty;
+  const geom::Coord penalty = kConflictPenalty;
 
-  for (int round = 0; round < options.max_two_opt_rounds; ++round) {
+  for (int round = 0; round < kMaxTwoOptRounds; ++round) {
     bool improved = false;
     for (int i = 0; i < n - 1; ++i) {
       for (int j = i + 1; j < n; ++j) {
@@ -163,12 +169,12 @@ void two_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
 }
 
 void or_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
-            const ConflictOracle& oracle, const HeuristicOptions& options) {
+            const ConflictOracle& oracle) {
   const int n = static_cast<int>(order.size());
   if (n < 5) return;
   geom::Coord length = tour_length(order, floorplan);
   long long conflicts = tour_conflicts(order, oracle);
-  const geom::Coord penalty = options.conflict_penalty;
+  const geom::Coord penalty = kConflictPenalty;
 
   // Relocating order[i..i+len-1] across the tour edge at position j swaps
   // removed edges R = {(a,b),(c,d),(e,f)} for added edges
@@ -197,7 +203,7 @@ void or_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
   // Every accepted move strictly decreases the penalized cost, so scanning
   // on after a splice (instead of restarting) cannot cycle; a round without
   // any accepted move is a fixpoint.
-  for (int round = 0; round < options.max_or_opt_rounds; ++round) {
+  for (int round = 0; round < kMaxOrOptRounds; ++round) {
     bool improved = false;
     for (int len = 1; len <= 3 && len <= n - 4; ++len) {
       for (int i = 0; i + len <= n; ++i) {
@@ -251,19 +257,17 @@ void or_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
 
 void polish_tour(std::vector<NodeId>& order,
                  const netlist::Floorplan& floorplan,
-                 const ConflictOracle& oracle,
-                 const HeuristicOptions& options) {
+                 const ConflictOracle& oracle) {
   geom::Coord before;
   do {
-    before = penalized_cost(order, floorplan, oracle, options);
-    two_opt(order, floorplan, oracle, options);
-    or_opt(order, floorplan, oracle, options);
-  } while (penalized_cost(order, floorplan, oracle, options) < before);
+    before = penalized_cost(order, floorplan, oracle);
+    two_opt(order, floorplan, oracle);
+    or_opt(order, floorplan, oracle);
+  } while (penalized_cost(order, floorplan, oracle) < before);
 }
 
 std::vector<NodeId> heuristic_tour(const netlist::Floorplan& floorplan,
-                                   const ConflictOracle& oracle,
-                                   const HeuristicOptions& options) {
+                                   const ConflictOracle& oracle) {
   const int n = floorplan.size();
 
   std::vector<NodeId> best_order;
@@ -274,8 +278,8 @@ std::vector<NodeId> heuristic_tour(const netlist::Floorplan& floorplan,
   // past the paper's sizes, and they markedly improve the warm start.
   for (NodeId start = 0; start < n; ++start) {
     std::vector<NodeId> order = nearest_neighbour_from(floorplan, start);
-    two_opt(order, floorplan, oracle, options);
-    const geom::Coord cost = penalized_cost(order, floorplan, oracle, options);
+    two_opt(order, floorplan, oracle);
+    const geom::Coord cost = penalized_cost(order, floorplan, oracle);
     if (cost < best_cost) {
       best_cost = cost;
       best_order = std::move(order);
@@ -293,7 +297,6 @@ namespace {
 bool repair_window(std::vector<NodeId>& order,
                    const netlist::Floorplan& floorplan,
                    const ConflictOracle& oracle, int s, int m,
-                   geom::Coord penalty, long repair_node_limit,
                    geom::Coord& length, long long& conflicts) {
   const int n = static_cast<int>(order.size());
   const int local = m + 2;  // window interior plus the two pinned endpoints
@@ -390,7 +393,7 @@ bool repair_window(std::vector<NodeId>& order,
   // huge time limit never fires), and the search itself is bit-identical at
   // any thread count.
   bnb.time_limit_seconds = 1e9;
-  bnb.node_limit = repair_node_limit;
+  bnb.node_limit = kLnsRepairNodeLimit;
   // Every feasible point is an entry->exit path plus closed sub-cycles over
   // the window's nodes, so its length lies on d(entry, exit) + 2k·Z with k
   // the offset_gcd of those nodes (ALGORITHMS.md, "Parity lattice").
@@ -444,7 +447,7 @@ bool repair_window(std::vector<NodeId>& order,
       mip.objective));
   // The repair is conflict-free by construction; accept only a strict
   // penalized-cost win over the destroyed segment.
-  if (new_len >= old_len + penalty * old_conf) return false;
+  if (new_len >= old_len + kConflictPenalty * old_conf) return false;
 
   // Decode the single cycle from the entry endpoint; the forced closing
   // edge guarantees the exit endpoint comes last.
@@ -465,8 +468,7 @@ bool repair_window(std::vector<NodeId>& order,
 }  // namespace
 
 LnsResult lns_tour(const netlist::Floorplan& floorplan,
-                   const ConflictOracle& oracle, const LnsOptions& options,
-                   const HeuristicOptions& heuristic) {
+                   const ConflictOracle& oracle, double budget_seconds) {
   const auto start = std::chrono::steady_clock::now();
   auto elapsed = [&] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -480,34 +482,32 @@ LnsResult lns_tour(const netlist::Floorplan& floorplan,
   // a joint 2-opt/Or-opt fixpoint (the all-starts heuristic_tour is
   // quadratic in restarts and defeats the point of a budgeted mode).
   out.order = nearest_neighbour_from(floorplan, 0);
-  polish_tour(out.order, floorplan, oracle, heuristic);
+  polish_tour(out.order, floorplan, oracle);
   out.length_um = tour_length(out.order, floorplan);
   long long conflicts = tour_conflicts(out.order, oracle);
 
-  const int m = std::min(options.window, n - 3);
+  const int m = std::min(kLnsWindow, n - 3);
   if (m >= 3 && n >= 6) {
-    // Deterministic destroy schedule: an LCG seeded by (seed), walked the
-    // same way at every jobs count. The budget is only a safety stop; when
-    // the schedule completes (the designed regime), the result is a pure
-    // function of (floorplan, seed, window, node limit).
-    unsigned state = options.seed * 2654435761u + 0x9E3779B9u;
+    // Deterministic destroy schedule: a seeded LCG, walked the same way at
+    // every jobs count. The budget is only a safety stop; when the schedule
+    // completes (the designed regime), the result is a pure function of the
+    // floorplan.
+    unsigned state = kLnsSeed * 2654435761u + 0x9E3779B9u;
     auto rnd = [&state] {
       state = state * 1664525u + 1013904223u;
       return state >> 8;
     };
-    const long attempts =
-        static_cast<long>(options.attempts_per_node) * n;
+    const long attempts = static_cast<long>(kLnsAttemptsPerNode) * n;
     geom::Coord length = out.length_um;
     for (long a = 0; a < attempts; ++a) {
-      if (elapsed() > options.budget_seconds) {
+      if (elapsed() > budget_seconds) {
         out.budget_exhausted = true;
         break;
       }
       const int s = static_cast<int>(rnd() % static_cast<unsigned>(n));
       ++out.repairs_attempted;
-      if (repair_window(out.order, floorplan, oracle, s, m,
-                        heuristic.conflict_penalty, options.repair_node_limit,
-                        length, conflicts)) {
+      if (repair_window(out.order, floorplan, oracle, s, m, length,
+                        conflicts)) {
         ++out.repairs_accepted;
         if (obs::enabled()) obs::registry().counter("milp.lns_repairs").add();
         if (obs::events::enabled()) {
@@ -523,7 +523,7 @@ LnsResult lns_tour(const netlist::Floorplan& floorplan,
   }
   // A final polish pass: repairs can open 2-opt/Or-opt improvements across
   // window boundaries.
-  polish_tour(out.order, floorplan, oracle, heuristic);
+  polish_tour(out.order, floorplan, oracle);
   out.length_um = tour_length(out.order, floorplan);
   conflicts = tour_conflicts(out.order, oracle);
   out.conflicts = static_cast<int>(conflicts);

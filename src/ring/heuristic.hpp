@@ -6,23 +6,20 @@
 
 namespace xring::ring {
 
-/// Options for the conflict-aware tour heuristic.
-struct HeuristicOptions {
-  /// Penalty (µm) charged per conflicting edge pair in the tour; large
-  /// enough that the 2-opt phase trades length for conflict removal.
-  geom::Coord conflict_penalty = 1'000'000;
-  int max_two_opt_rounds = 64;
-  /// Round cap for or_opt (which heuristic_tour does NOT run; see or_opt).
-  int max_or_opt_rounds = 32;
-};
+/// Penalty (µm) charged per conflicting edge pair in a tour's penalized
+/// cost; large enough that the local search trades length for conflict
+/// removal.
+inline constexpr geom::Coord kConflictPenalty = 1'000'000;
+/// Round caps of two_opt and or_opt.
+inline constexpr int kMaxTwoOptRounds = 64;
+inline constexpr int kMaxOrOptRounds = 32;
 
 /// Conflict-aware nearest-neighbour + 2-opt tour construction (best of all
 /// nearest-neighbour start nodes). Serves two purposes: the warm start that
 /// lets branch & bound prune from node one, and the fallback result when a
 /// caller runs with the MILP disabled (the ablation benches compare both).
 std::vector<NodeId> heuristic_tour(const netlist::Floorplan& floorplan,
-                                   const ConflictOracle& oracle,
-                                   const HeuristicOptions& options = {});
+                                   const ConflictOracle& oracle);
 
 /// In-place 2-opt improvement on the penalized (length + conflict) cost.
 /// Used both inside heuristic_tour and as the post-merge polish of Step 1.
@@ -32,7 +29,7 @@ std::vector<NodeId> heuristic_tour(const netlist::Floorplan& floorplan,
 /// re-evaluation per candidate while accepting and rejecting the exact same
 /// move sequence.
 void two_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
-             const ConflictOracle& oracle, const HeuristicOptions& options = {});
+             const ConflictOracle& oracle);
 
 /// In-place Or-opt improvement on the penalized cost: relocates segments of
 /// 1..3 consecutive nodes to another tour position (forward or reversed),
@@ -43,7 +40,7 @@ void two_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
 /// two_opt (their move sequences are pinned by the quality baselines);
 /// polish_tour runs it on top.
 void or_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
-            const ConflictOracle& oracle, const HeuristicOptions& options = {});
+            const ConflictOracle& oracle);
 
 /// In-place joint 2-opt/Or-opt fixpoint on the penalized cost: alternates
 /// two_opt and or_opt until a full pass no longer improves, since each pass
@@ -51,8 +48,7 @@ void or_opt(std::vector<NodeId>& order, const netlist::Floorplan& floorplan,
 /// (build_ring) and the incumbent of the budgeted LNS (lns_tour).
 void polish_tour(std::vector<NodeId>& order,
                  const netlist::Floorplan& floorplan,
-                 const ConflictOracle& oracle,
-                 const HeuristicOptions& options = {});
+                 const ConflictOracle& oracle);
 
 /// Total Manhattan length of a tour (closing edge included), micrometres.
 geom::Coord tour_length(const std::vector<NodeId>& order,
@@ -84,21 +80,12 @@ geom::Coord offset_gcd(const netlist::Floorplan& floorplan,
 /// when it strictly improves the penalized cost. The current segment warm
 /// starts every repair MILP, i.e. the incumbent is fed back into branch &
 /// bound as a primal bound.
-struct LnsOptions {
-  /// Wall-clock budget for the repair loop. The repair *schedule* is a fixed
-  /// function of (size, seed) — the budget is a safety stop, so runs that
-  /// complete the schedule are bit-identical at any jobs count.
-  double budget_seconds = 30.0;
-  unsigned seed = 1;
-  /// Consecutive tour positions destroyed per repair.
-  int window = 12;
-  /// Repair attempts per node of the instance (schedule length = ratio * n).
-  int attempts_per_node = 4;
-  /// Node budget per repair MILP. Repairs are node-limited, never
-  /// time-limited, so every repair outcome is machine- and jobs-independent.
-  long repair_node_limit = 400;
-};
-
+///
+/// The repair *schedule* is a fixed function of the instance size: a seeded
+/// LCG picks the window start of every attempt (4 attempts per node, 12
+/// positions per window, 400 branch-and-bound nodes per repair MILP).
+/// `budget_seconds` is only a wall-clock safety stop, so runs that complete
+/// the schedule are bit-identical at any jobs count.
 struct LnsResult {
   std::vector<NodeId> order;
   geom::Coord length_um = 0;
@@ -112,7 +99,6 @@ struct LnsResult {
 };
 
 LnsResult lns_tour(const netlist::Floorplan& floorplan,
-                   const ConflictOracle& oracle, const LnsOptions& options,
-                   const HeuristicOptions& heuristic = {});
+                   const ConflictOracle& oracle, double budget_seconds);
 
 }  // namespace xring::ring

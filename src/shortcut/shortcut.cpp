@@ -135,8 +135,7 @@ ShortcutPlan build_shortcuts(const ring::RingGeometry& ring,
         // A usable CSE needs exactly one crossing point with exactly one
         // partner, and that partner must still be partnerless.
         if (crossings > 1 || partner != -1 ||
-            plan.shortcuts[s].crossing_partner != -1 ||
-            options.max_crossing_partners < 1) {
+            plan.shortcuts[s].crossing_partner != -1) {
           ok = false;
           break;
         }

@@ -38,9 +38,6 @@ struct CseRoute {
 
 struct ShortcutOptions {
   bool enable = true;
-  /// Paper constraint: a shortcut may form crossings with at most one other
-  /// shortcut. Setting 0 forbids crossed shortcuts entirely (ablation).
-  int max_crossing_partners = 1;
   /// Paper constraint: "a network node can only have at most one shortcut".
   /// Raising this explores the extension the constraint exists to bound
   /// (every extra shortcut sender needs PDN power); the ablation benches
@@ -60,7 +57,8 @@ struct ShortcutPlan {
 /// Runs shortcut construction: feasibility (chord must not cross or overlap
 /// the ring, nor touch it away from its endpoints), gain computation,
 /// greedy max-gain selection with at most one shortcut per node, CSE merging
-/// of crossing pairs, and CSE route derivation.
+/// of crossing pairs (paper constraint: a shortcut crosses at most one other
+/// shortcut), and CSE route derivation.
 ShortcutPlan build_shortcuts(const ring::RingGeometry& ring,
                              const netlist::Floorplan& floorplan,
                              const ShortcutOptions& options = {});
@@ -73,11 +71,10 @@ std::optional<geom::LOrder> feasible_chord(const ring::RingGeometry& ring,
                                            NodeId a, NodeId b);
 
 /// Derives the CSE routes of every crossing pair in the plan (Fig. 7(b)).
-/// Called by both the greedy and the ILP selection; idempotent.
+/// Idempotent.
 void derive_cse_routes(ShortcutPlan& plan, const netlist::Floorplan& floorplan);
 
-/// One candidate chord considered by selection (exposed for the ILP
-/// selector and for tests).
+/// One candidate chord considered by selection (exposed for tests).
 struct ChordCandidate {
   NodeId a = -1;
   NodeId b = -1;
@@ -89,14 +86,5 @@ struct ChordCandidate {
 /// All positive-gain ring-clearing chords, sorted by descending gain.
 std::vector<ChordCandidate> collect_candidates(
     const ring::RingGeometry& ring, const netlist::Floorplan& floorplan);
-
-/// ILP-optimal Step 2 (extension; the paper's method is the greedy above):
-/// maximizes total gain subject to the same structural constraints —
-/// per-node budget, pairwise compatibility, at most `max_crossing_partners`
-/// crossing partners per selected chord. Uses the bundled MILP solver.
-ShortcutPlan optimal_shortcuts(const ring::RingGeometry& ring,
-                               const netlist::Floorplan& floorplan,
-                               const ShortcutOptions& options = {},
-                               double time_limit_seconds = 10.0);
 
 }  // namespace xring::shortcut

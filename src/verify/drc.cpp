@@ -17,6 +17,9 @@ using mapping::RouteKind;
 using netlist::NodeId;
 using netlist::SignalId;
 
+/// The paper's cap: "a network node can only have at most one shortcut".
+constexpr int kMaxShortcutsPerNode = 1;
+
 void add(std::vector<Violation>& out, Violation::Rule rule,
          const std::string& message) {
   out.push_back(Violation{rule, message});
@@ -30,8 +33,7 @@ void check_ring(const RouterDesign& d, std::vector<Violation>& out) {
   }
 }
 
-void check_shortcuts(const RouterDesign& d, const DrcOptions& opt,
-                     std::vector<Violation>& out) {
+void check_shortcuts(const RouterDesign& d, std::vector<Violation>& out) {
   // One sorted index over the ring polyline answers every chord-vs-ring
   // query in O(log ring + candidates); each candidate is confirmed with the
   // exact geom::crosses predicate, so the count matches
@@ -58,10 +60,10 @@ void check_shortcuts(const RouterDesign& d, const DrcOptions& opt,
     }
   }
   for (NodeId v = 0; v < d.floorplan->size(); ++v) {
-    if (uses[v] > opt.max_shortcuts_per_node) {
+    if (uses[v] > kMaxShortcutsPerNode) {
       add(out, Violation::Rule::kShortcutNodeCap,
           "node " + std::to_string(v) + " has " + std::to_string(uses[v]) +
-              " shortcuts (cap " + std::to_string(opt.max_shortcuts_per_node) +
+              " shortcuts (cap " + std::to_string(kMaxShortcutsPerNode) +
               ")");
     }
   }
@@ -229,7 +231,7 @@ std::vector<Violation> check(const analysis::RouterDesign& design,
       have_tour ? mapping::ArcTable(design.ring.tour, design.traffic)
                 : mapping::ArcTable();
   check_ring(design, out);
-  check_shortcuts(design, options, out);
+  check_shortcuts(design, out);
   check_routes(design, options, out);
   check_arcs(design, &arcs, out);
   check_openings(design, &arcs, options, out);

@@ -1,6 +1,6 @@
 // Differential testing of the indexed analysis engine against the verbatim
-// pre-index reference (analysis/reference.cpp): for every design family the
-// fast path must reproduce the reference RouterMetrics byte for byte —
+// pre-index reference (tests/oracle/analysis_reference.cpp): for every
+// design family the fast path must reproduce the reference RouterMetrics byte for byte —
 // EXPECT_EQ on doubles, no tolerance — because the index changes only which
 // pairs get *visited*, never the arithmetic or its order. Also holds the
 // crossbar's precomputed path() against path_reference() over all pairs.
@@ -12,10 +12,10 @@
 #include <vector>
 
 #include "analysis/evaluate.hpp"
-#include "analysis/reference.hpp"
 #include "analysis/substrate.hpp"
 #include "baseline/ornoc.hpp"
 #include "crossbar/physical.hpp"
+#include "oracle/analysis_reference.hpp"
 #include "ring/heuristic.hpp"
 #include "xring/synthesizer.hpp"
 

@@ -1,6 +1,6 @@
-// Differential tests for the sparse LU simplex kernel: the sparse kernel
-// (default) and the dense explicit-inverse kernel (the historical solver,
-// kept as a reference) must agree on status and objective for seeded random
+// Differential tests for the sparse LU simplex kernel: the production sparse
+// kernel and the dense explicit-inverse kernel (the historical solver, kept
+// as a test oracle and run through lp::detail::solve) must agree on status and objective for seeded random
 // LPs and for the real ring-construction models behind Tables I-III. Also
 // pins the dual-simplex warm-start path: a warm solve after a bound change
 // or lazy-row growth must reproduce the cold answer with dual pivots.
@@ -13,6 +13,7 @@
 
 #include "lp/simplex.hpp"
 #include "netlist/floorplan.hpp"
+#include "oracle/lp_reference.hpp"
 #include "ring/conflict.hpp"
 #include "ring/heuristic.hpp"
 #include "ring/tsp_model.hpp"
@@ -69,15 +70,9 @@ Problem random_lp(std::uint64_t seed) {
   return p;
 }
 
-Solution solve_with(const Problem& p, Kernel k) {
-  SolveOptions o;
-  o.kernel = k;
-  return solve(p, o);
-}
-
 void expect_kernels_agree(const Problem& p, const char* label) {
-  const Solution sparse = solve_with(p, Kernel::kSparseLu);
-  const Solution dense = solve_with(p, Kernel::kDenseInverse);
+  const Solution sparse = solve(p);
+  const Solution dense = detail::solve(p, {}, &reference::make_dense_basis);
   ASSERT_EQ(sparse.status, dense.status) << label;
   if (sparse.status != Status::kOptimal) return;
   const double scale = std::max(1.0, std::abs(dense.objective));
@@ -171,7 +166,7 @@ TEST(WarmStart, BoundChangeResolvesWithDualPivots) {
     SolveOptions warm;
     warm.warm_start = &basis;
     const Solution w = solve(p, warm);
-    const Solution c = solve_with(p, Kernel::kSparseLu);
+    const Solution c = solve(p);
     p.set_bounds(var, lo, hi);
 
     ASSERT_EQ(w.status, c.status);
@@ -205,7 +200,7 @@ TEST(WarmStart, SurvivesAppendedRows) {
   SolveOptions warm;
   warm.warm_start = &basis;
   const Solution w = solve(p, warm);
-  const Solution c = solve_with(p, Kernel::kSparseLu);
+  const Solution c = solve(p);
   ASSERT_EQ(w.status, Status::kOptimal);
   ASSERT_EQ(c.status, Status::kOptimal);
   EXPECT_NEAR(w.objective, c.objective, 1e-9);

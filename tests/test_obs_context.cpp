@@ -1,6 +1,6 @@
 // Scoped observability contexts: accessor routing and nesting, span/clock
 // pinning across context switches, propagation through the shared thread
-// pool (parallel_for, nested loops, help-while-waiting), and the
+// pool (parallel_for and nested loops), and the
 // headline isolation guarantee — two concurrent syntheses on one pool
 // record per-context metrics identical to the same synthesis run alone.
 
@@ -263,7 +263,7 @@ TEST_F(ContextRouting, AllocationDeltasChargeTheInstalledContextsSpan) {
 /// tolerance 0): quality-class keys of the lp/mapping/milp/ring
 /// subsystems. Solver-internal trajectory counters, scheduling telemetry
 /// (`par.*`), and time-like keys are excluded — the same exclusions
-/// bench_compare applies.
+/// `xring_runs diff` applies.
 std::map<std::string, double> quality_view(
     const std::map<std::string, double>& flat) {
   std::map<std::string, double> out;

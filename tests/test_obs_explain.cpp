@@ -229,7 +229,7 @@ TEST_F(ObsExplainTest, RunReportDegradesWithoutDesign) {
   EXPECT_EQ(html.find("id=\"xtalk\""), std::string::npos);
 }
 
-// --- metrics_from_json (the bench_compare reader) ------------------------
+// --- metrics_from_json (the BENCH_*.json reader) -------------------------
 
 TEST_F(ObsExplainTest, MetricsJsonRoundTripsThroughParser) {
   reg_.counter("milp.nodes").add(17);

@@ -1,11 +1,16 @@
-// The parallel execution substrate: thread-pool mechanics (work stealing,
-// exception propagation, nesting, degenerate ranges) and — the property the
-// whole design hangs on — bit-identical results from the parallel sweep and
-// the (serial) MILP search at 1, 2, and 8 threads.
+// The parallel execution substrate: thread-pool mechanics (chunk claiming,
+// exception propagation, nested loops that get no worker, degenerate ranges,
+// XRING_JOBS parsing) and — the property the whole design hangs on —
+// bit-identical results from the parallel sweep and the (serial) MILP
+// search at 1, 2, and 8 threads.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
+#include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -68,6 +73,54 @@ TEST(ParallelFor, NestedLoopsComplete) {
   EXPECT_EQ(total.load(), 8 * 64);
 }
 
+TEST(ParallelFor, NestedLoopCompletesWhenOuterHoldsEveryThread) {
+  // Two jobs: the caller and one worker. Each outer chunk waits until both
+  // are inside the outer loop (the caller is stuck in chunk 0, so only the
+  // worker can claim chunk 1), so the inner loops' helper tasks never get a
+  // worker and each inner loop must finish on the thread that started it.
+  par::ThreadPool pool(2);
+  ASSERT_EQ(pool.workers(), 1);
+  std::atomic<int> inside{0};
+  std::atomic<bool> both_inside{false};
+  std::atomic<long> total{0};
+  par::parallel_for(pool, 0, 2, [&](long) {
+    inside.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (inside.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    if (inside.load() == 2) both_inside.store(true);
+    par::parallel_for(pool, 0, 64, [&](long) { total.fetch_add(1); }, 4);
+  });
+  EXPECT_TRUE(both_inside.load());
+  EXPECT_EQ(total.load(), 2 * 64);
+}
+
+TEST(ParallelFor, InnerExceptionPropagatesOutOfOuterLoop) {
+  par::ThreadPool pool(4);
+  std::atomic<long> ran{0};
+  auto nested = [&] {
+    par::parallel_for(pool, 0, 8, [&](long outer) {
+      par::parallel_for(pool, 0, 32, [&](long inner) {
+        if (outer == 5 && inner == 17) throw std::runtime_error("inner");
+        ran.fetch_add(1);
+      });
+    });
+  };
+  try {
+    nested();
+    ADD_FAILURE() << "the inner exception was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "inner");
+  }
+  EXPECT_LT(ran.load(), 8 * 32);
+  // The pool stays serviceable.
+  std::atomic<int> sum{0};
+  par::parallel_for(pool, 0, 10, [&](long i) { sum += static_cast<int>(i); });
+  EXPECT_EQ(sum.load(), 45);
+}
+
 TEST(Jobs, ResolutionOrderAndGlobalPoolResize) {
   par::set_jobs(3);
   EXPECT_EQ(par::effective_jobs(), 3);
@@ -76,6 +129,42 @@ TEST(Jobs, ResolutionOrderAndGlobalPoolResize) {
   EXPECT_GE(par::effective_jobs(), 1);
   EXPECT_GE(par::hardware_jobs(), 1);
   EXPECT_EQ(par::resolve_jobs(5), 5);
+}
+
+TEST(Jobs, EnvironmentIsReadAsAWholeTokenAtLeastOne) {
+  // resolve_jobs(0) only reads XRING_JOBS; no pool is built at these values.
+  const char* saved = std::getenv("XRING_JOBS");
+  const std::optional<std::string> restore =
+      saved ? std::optional<std::string>(saved) : std::nullopt;
+  const int hw = par::hardware_jobs();
+
+  setenv("XRING_JOBS", "3", 1);
+  EXPECT_EQ(par::resolve_jobs(0), 3);
+  EXPECT_EQ(par::resolve_jobs(2), 2);  // an explicit request still wins
+  setenv("XRING_JOBS", "100000", 1);
+  EXPECT_EQ(par::resolve_jobs(0), 512);
+
+  obs::set_enabled(true);
+  obs::registry().reset();
+  for (const char* bad : {"8abc", "-3", "0", "x", "4 "}) {
+    setenv("XRING_JOBS", bad, 1);
+    EXPECT_EQ(par::resolve_jobs(0), hw) << "XRING_JOBS='" << bad << "'";
+  }
+  int warned = 0;
+  for (const obs::Diagnostic& d : obs::registry().diagnostics()) {
+    if (d.code == "par.bad_jobs_env") {
+      EXPECT_EQ(d.severity, obs::Severity::kWarning);
+      ++warned;
+    }
+  }
+  EXPECT_EQ(warned, 5);
+  obs::set_enabled(false);
+
+  if (restore) {
+    setenv("XRING_JOBS", restore->c_str(), 1);
+  } else {
+    unsetenv("XRING_JOBS");
+  }
 }
 
 // --- Determinism regressions across thread counts ------------------------

@@ -1,7 +1,7 @@
-// The cross-run layer: metric gate classification shared with
-// bench_compare, run.json round trips, the store's record/list/load
-// lifecycle, span-tree aggregation, A/B diffs under the gate, and
-// aggregation across runs.
+// The cross-run layer: the metric gate classification `xring_runs diff`
+// applies, run.json round trips, the store's record/list/load lifecycle
+// (flat BENCH_*.json reports included), span-tree aggregation, A/B diffs
+// under the gate, and aggregation across runs.
 
 #include <gtest/gtest.h>
 
@@ -54,7 +54,7 @@ TEST(RunstoreClassify, MatchesTheBenchCompareRules) {
   EXPECT_EQ(classify_metric("milp.cold_solves"), MetricClass::kSolverInternal);
   EXPECT_EQ(classify_metric("mem.rss_bytes.last"), MetricClass::kResource);
   EXPECT_EQ(classify_metric("events.count"), MetricClass::kResource);
-  EXPECT_EQ(classify_metric("par.steals"), MetricClass::kResource);
+  EXPECT_EQ(classify_metric("par.tasks"), MetricClass::kResource);
   EXPECT_EQ(classify_metric("span.synth.total_s"), MetricClass::kTimeLike);
   EXPECT_EQ(classify_metric("solve.real_time_ns"), MetricClass::kTimeLike);
   EXPECT_EQ(classify_metric("synthesis.seconds"), MetricClass::kTimeLike);
@@ -192,6 +192,42 @@ TEST_F(RunStoreFixture, RecordListLoadLifecycle) {
   RunRecordOptions fresh;
   for (int i = 0; i < 5; ++i) ids.insert(store.record(reg, fresh));
   EXPECT_EQ(ids.size(), 5u);
+}
+
+TEST_F(RunStoreFixture, LoadsFlatMetricsReportsAndDiffsThem) {
+  // A BENCH_*.json report: one flat object of numbers and nulls, no schema.
+  fs::create_directories(root_);
+  const std::string base = (fs::path(root_) / "BENCH_base.json").string();
+  const std::string cand = (fs::path(root_) / "BENCH_cand.json").string();
+  write_text_file(base,
+                  "{\n  \"table1.n8.XRing.il_w\": 1.9,\n"
+                  "  \"table1.n8.XRing.T\": 0.5,\n  \"lp.pivots\": 10,\n"
+                  "  \"ring.gap\": null\n}\n");
+  write_text_file(cand,
+                  "{\"table1.n8.XRing.il_w\": 2.09, \"table1.n8.XRing.T\": 0.6,"
+                  " \"lp.pivots\": 99, \"ring.gap\": null,"
+                  " \"ring.length_um\": 32000}");
+  const RunStore store(root_);
+  const RunRecord a = store.load(base);
+  EXPECT_EQ(a.id, base);
+  ASSERT_EQ(a.metrics.size(), 4u);
+  EXPECT_DOUBLE_EQ(a.metrics.at("table1.n8.XRing.il_w"), 1.9);
+  EXPECT_TRUE(std::isnan(a.metrics.at("ring.gap")));
+
+  const RunDiff d = diff_runs(a, store.load(cand));
+  EXPECT_EQ(d.compared, 3);    // il_w, T and the null pair
+  EXPECT_EQ(d.skipped, 1);     // lp.pivots floats
+  EXPECT_EQ(d.one_sided, 1);   // ring.length_um
+  EXPECT_EQ(d.regressions, 1);  // il_w drifted; T grew within 3x
+  EXPECT_EQ(diff_runs(a, a).regressions, 0);
+
+  // Neither a run record nor a flat object of numbers.
+  const std::string nested = (fs::path(root_) / "nested.json").string();
+  write_text_file(nested, "{\"a\": {\"b\": 1}}");
+  EXPECT_THROW(store.load(nested), std::invalid_argument);
+  const std::string array = (fs::path(root_) / "array.json").string();
+  write_text_file(array, "[1, 2]");
+  EXPECT_THROW(store.load(array), std::invalid_argument);
 }
 
 RunRecord make_record(const std::string& id,

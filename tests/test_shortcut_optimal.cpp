@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include "oracle/shortcut_reference.hpp"
 #include "ring/builder.hpp"
 #include "shortcut/shortcut.hpp"
 
 namespace xring::shortcut {
 namespace {
+
+using reference::optimal_shortcuts;
 
 geom::Coord total_gain(const ShortcutPlan& plan) {
   geom::Coord sum = 0;
@@ -51,21 +54,6 @@ TEST(OptimalShortcuts, MatchesGreedyOnEasyInstances) {
   const ShortcutPlan greedy = build_shortcuts(ring, fp);
   const ShortcutPlan ilp = optimal_shortcuts(ring, fp);
   EXPECT_EQ(total_gain(greedy), total_gain(ilp));
-}
-
-TEST(OptimalShortcuts, RespectsCrossingBudgetZero) {
-  const auto fp = netlist::Floorplan::ring_layout(3, 3, 1000);
-  const auto ring = ring::build_ring(fp).geometry;
-  ShortcutOptions opt;
-  opt.max_crossing_partners = 0;
-  const ShortcutPlan ilp = optimal_shortcuts(ring, fp, opt);
-  for (const Shortcut& s : ilp.shortcuts) {
-    EXPECT_EQ(s.crossing_partner, -1);
-  }
-  // With the budget, the Fig. 7 cross pair is allowed and gains more.
-  ShortcutOptions allow;
-  const ShortcutPlan with = optimal_shortcuts(ring, fp, allow);
-  EXPECT_GE(total_gain(with), total_gain(ilp));
 }
 
 TEST(OptimalShortcuts, HonoursPerNodeBudget) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Full check pass: a sanitizer build (ASan + UBSan) of the whole tree, the
 # complete test suite run under it, and the bench regression gate (fresh
-# Table I-III runs diffed against bench/baselines/ with tools/bench_compare).
+# Table I-III runs diffed against bench/baselines/ with `xring_runs diff`).
 # Usage:
 #
 #   tools/run_checks.sh [build-dir]       # default: build-sanitize
@@ -24,38 +24,38 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 # "updating bench baselines" workflow.
 echo "== bench regression gate =="
 (cd "$build_dir/bench" && ./table1_routers_no_pdn > /dev/null)
-"$build_dir/tools/bench_compare" "$repo/bench/baselines/BENCH_table1.json" \
+"$build_dir/tools/xring_runs" diff "$repo/bench/baselines/BENCH_table1.json" \
   "$build_dir/bench/BENCH_table1.json" --time-tolerance 25 --quiet
 # The mapping.* counters (waveguides, wavelengths, relocations, openings)
 # are the occupancy index's bit-identical contract with the brute-force
 # Step 3: they must match the committed baseline EXACTLY, with no time
 # escape hatch.
-"$build_dir/tools/bench_compare" "$repo/bench/baselines/BENCH_table1.json" \
+"$build_dir/tools/xring_runs" diff "$repo/bench/baselines/BENCH_table1.json" \
   "$build_dir/bench/BENCH_table1.json" --only-prefix mapping. \
   --rel-tolerance 0 --quiet
 # Solver quality gate: the MILP's answers (milp.incumbent.last, node and
 # lazy-cut counts) and the realized ring (ring.crossings, ring.length_um)
 # must be byte-identical to the baseline. Pivot-path counters (lp.pivots,
 # lp.iterations, lp.refactorizations, milp.warm_pivots, ...) float — they
-# are classified solver-internal inside bench_compare — so an LP-kernel
+# are classified solver-internal by the gate — so an LP-kernel
 # change passes here exactly when it changes how the answer is reached but
 # never the answer.
-"$build_dir/tools/bench_compare" "$repo/bench/baselines/BENCH_table1.json" \
+"$build_dir/tools/xring_runs" diff "$repo/bench/baselines/BENCH_table1.json" \
   "$build_dir/bench/BENCH_table1.json" --only-prefix milp. \
   --rel-tolerance 0 --quiet
-"$build_dir/tools/bench_compare" "$repo/bench/baselines/BENCH_table1.json" \
+"$build_dir/tools/xring_runs" diff "$repo/bench/baselines/BENCH_table1.json" \
   "$build_dir/bench/BENCH_table1.json" --only-prefix ring. \
   --rel-tolerance 0 --quiet
 # table1.*.T wall times ride along under this prefix; give them the same
 # wide sanitizer berth as the whole-file gate (a Release-recorded baseline
 # vs an ASan run exceeds the default 3x on sub-0.1 s entries).
-"$build_dir/tools/bench_compare" "$repo/bench/baselines/BENCH_table1.json" \
+"$build_dir/tools/xring_runs" diff "$repo/bench/baselines/BENCH_table1.json" \
   "$build_dir/bench/BENCH_table1.json" --only-prefix table1. \
   --rel-tolerance 0 --time-tolerance 25 --quiet
 # Evaluation determinism gate: the indexed analysis engine's counters
 # (analysis.signals, analysis.xtalk_rows) are its bit-identical contract
 # with the pre-index reference — exact match, like mapping.* above.
-"$build_dir/tools/bench_compare" "$repo/bench/baselines/BENCH_table1.json" \
+"$build_dir/tools/xring_runs" diff "$repo/bench/baselines/BENCH_table1.json" \
   "$build_dir/bench/BENCH_table1.json" --only-prefix analysis. \
   --rel-tolerance 0 --quiet
 # Tables II and III: the ORNoC/ORing baseline columns and XRing's rows must
@@ -70,7 +70,7 @@ for table in 2 3; do
   esac
   (cd "$build_dir/bench" && ./$bench > /dev/null)
   for prefix in table$table. mapping. analysis. ring. milp.; do
-    "$build_dir/tools/bench_compare" \
+    "$build_dir/tools/xring_runs" diff \
       "$repo/bench/baselines/BENCH_table$table.json" \
       "$build_dir/bench/BENCH_table$table.json" --only-prefix $prefix \
       --rel-tolerance 0 --time-tolerance 25 --quiet

@@ -1,6 +1,8 @@
 // xring_runs — list, diff, and aggregate the per-run records a store
 // directory accumulates (one `<store>/<id>/run.json` per run plus an
-// append-only `<store>/index.jsonl`; `xring synth --run-dir` writes them).
+// append-only `<store>/index.jsonl`; `xring synth --run-dir` writes them),
+// and gate two flat metrics reports (the BENCH_*.json files the table
+// benches and bench_micro write) against each other.
 //
 //   xring_runs list [--store DIR]
 //   xring_runs diff A B [--store DIR] [--html OUT.html] [--json OUT.json]
@@ -8,16 +10,22 @@
 //                       [--only-prefix P] [--quiet]
 //   xring_runs aggregate [--store DIR] [--prefix P] [--json]
 //
-// `A` and `B` are store ids, run-directory paths, or run.json paths.
-// `diff` applies the same metric classification and gate formulas as
-// tools/bench_compare (shared via obs/runstore.hpp): quality metrics are
-// gated tight in both directions, time-like metrics only on growth beyond
-// the tolerance over the noise floor, and solver-internal / resource /
-// ignored metrics ride along unjudged.
+// `A` and `B` are store ids, run-directory paths, run.json paths, or paths
+// of flat metrics reports (a JSON object without a "schema" key). `diff`
+// applies the regression gate of obs/runstore.hpp (classify_metric /
+// metric_regressed; the classes are described in docs/OBSERVABILITY.md,
+// "Bench regression gate"): quality metrics are gated within
+// --rel-tolerance (default 1e-6) in both directions, time-like metrics only
+// on growth beyond --time-tolerance (default 3x) over the noise floor, and
+// solver-internal / resource / ignored metrics ride along unjudged. Keys in
+// only one side are counted, not gated. --only-prefix restricts the
+// comparison, one-sided keys included, to names with that prefix. The
+// tolerances must be whole finite numbers >= 0.
 //
 // Exit status: 0 ok (diff: no regressions), 1 diff found regressions,
 // 2 usage or I/O error.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -58,6 +66,18 @@ std::string format_utc(double unix_time) {
   return buf;
 }
 
+/// Parses a tolerance as a whole finite number >= 0; anything else exits 2.
+double parse_tolerance(const char* flag, const char* text) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || v < 0.0) {
+    std::fprintf(stderr, "%s: expected a finite number >= 0, got '%s'\n",
+                 flag, text);
+    std::exit(2);
+  }
+  return v;
+}
+
 int cmd_list(const std::string& store_root) {
   const RunStore store(store_root);
   const auto entries = store.list();
@@ -94,7 +114,25 @@ int cmd_diff(const std::string& store_root, const std::string& a_ref,
     return 2;
   }
   for (const MetricDelta& md : d.deltas) {
-    if (md.regressed) {
+    if (!md.in_a || !md.in_b) {
+      if (!quiet) {
+        std::printf("warning: %s only in %s\n", md.name.c_str(),
+                    md.in_a ? a.id.c_str() : b.id.c_str());
+      }
+      continue;
+    }
+    if (!md.regressed) continue;
+    if (std::isnan(md.a) || std::isnan(md.b)) {
+      // null (NaN) values compare equal only to null.
+      std::printf("REGRESSION %s: %s -> %s\n", md.name.c_str(),
+                  std::isnan(md.a) ? "null" : "number",
+                  std::isnan(md.b) ? "null" : "number");
+    } else if (md.cls == MetricClass::kTimeLike) {
+      const double floor = time_noise_floor(md.name);
+      std::printf("REGRESSION %s: %g -> %g (%.2fx > %.2fx tolerance)\n",
+                  md.name.c_str(), md.a, md.b, md.b / std::max(md.a, floor),
+                  gate.time_tolerance);
+    } else {
       std::printf("REGRESSION %s: %.12g -> %.12g\n", md.name.c_str(), md.a,
                   md.b);
     }
@@ -174,9 +212,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--json") {
       agg_json = true;
     } else if (arg == "--time-tolerance") {
-      gate.time_tolerance = std::strtod(value("--time-tolerance"), nullptr);
+      gate.time_tolerance =
+          parse_tolerance("--time-tolerance", value("--time-tolerance"));
     } else if (arg == "--rel-tolerance") {
-      gate.rel_tolerance = std::strtod(value("--rel-tolerance"), nullptr);
+      gate.rel_tolerance =
+          parse_tolerance("--rel-tolerance", value("--rel-tolerance"));
     } else if (arg == "--only-prefix") {
       only_prefix = value("--only-prefix");
     } else if (arg == "--prefix") {
